@@ -14,12 +14,13 @@ The group-size cap keeps everything comfortably exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import min_poly, nullspace, rref, solve
-from .linalg import rational_roots
-from .scalars import poly_divmod, poly_ext_gcd, poly_mul, poly_trim
+from .linalg import coordinates, mat_mul, min_poly, nullspace, rational_roots, \
+    root_multiplicity, rref, trace, transpose
+from .scalars import poly_ext_gcd, poly_mul, poly_trim
 from .weylgroups import Cocycle, ExtendedWeylGroup, GroupElement
 
 __all__ = ["TwistedGroupAlgebra", "IrreducibleBlock"]
@@ -108,39 +109,15 @@ class TwistedGroupAlgebra:
     def _center_structure(self):
         """Products of centre basis vectors, expanded back in that basis."""
         basis = self.center
-        m = len(basis)
-        cols = [list(b) for b in basis]
-        mat = [[cols[j][i] for j in range(m)] for i in range(self.n)]
-        prods = {}
-        for i in range(m):
-            for j in range(m):
-                p = self.product_vector(basis[i], basis[j])
-                sol = solve(mat, p)
-                assert sol is not None, "centre is not closed under products"
-                prods[i, j] = sol
-        return prods
-
-    def _center_mult_operator(self, coeffs):
-        """Matrix of multiplication by sum coeffs[i] z_i on the centre."""
-        m = len(self.center)
-        op = [[Fraction(0)] * m for _ in range(m)]
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            for j in range(m):
-                col = self._center_products[i, j]
-                for t in range(m):
-                    op[t][j] += c * col[t]
-        return op
+        pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+        prods = coordinates(basis, [self.product_vector(basis[i], basis[j])
+                                    for i, j in pairs])
+        return dict(zip(pairs, prods))
 
     def _split_blocks(self):
         m = len(self.center)
         # identity of the algebra in centre coordinates
-        cols = [[self.center[j][i] for j in range(m)] for i in range(self.n)]
-        e_vec = [Fraction(0)] * self.n
-        e_vec[self.group.identity.index] = Fraction(1)
-        one = solve(cols, e_vec)
-        assert one is not None, "identity must be central"
+        one, = coordinates(self.center, [_basis_vector(self.n, self.group.identity.index)])
 
         idempotents = [one]
         for basis_index in range(m):
@@ -174,7 +151,7 @@ class TwistedGroupAlgebra:
         sub = self._sub_basis(e)
         if len(sub) <= 1:
             return [e]
-        op = self._restricted_operator(direction, sub)
+        op = transpose(coordinates(sub, [self._center_multiply(direction, v) for v in sub]))
         mp = min_poly(op)
         roots = rational_roots(mp)
         if not roots:
@@ -183,15 +160,8 @@ class TwistedGroupAlgebra:
         factors = []
         rest = mp
         for root in roots:
-            lin = [-root, Fraction(1)]
-            mult = 0
-            while True:
-                quo, rem = poly_divmod(rest, lin)
-                if rem:
-                    break
-                rest = quo
-                mult += 1
-            factors.append(_poly_power(lin, mult))
+            mult, rest = root_multiplicity(rest, root)
+            factors.append(_poly_product([[-root, Fraction(1)]] * mult))
         if len(rest) > 1:
             factors.append(rest)
         if len(factors) <= 1:
@@ -216,18 +186,6 @@ class TwistedGroupAlgebra:
             vecs.append(self._center_multiply(direction, e))
         rows, pivots = _row_space(vecs)
         return rows
-
-    def _restricted_operator(self, direction, sub):
-        """Multiplication by z restricted to span(sub)."""
-        cols = [[v[i] for v in sub] for i in range(len(self.center))]
-        op_cols = []
-        for v in sub:
-            img = self._center_multiply(direction, v)
-            sol = solve(cols, img)
-            assert sol is not None, "subspace not invariant"
-            op_cols.append(sol)
-        size = len(sub)
-        return [[op_cols[j][i] for j in range(size)] for i in range(size)]
 
     def _center_multiply(self, a, b):
         m = len(self.center)
@@ -256,11 +214,7 @@ class TwistedGroupAlgebra:
         return len(self._sub_basis(e))
 
     def _center_to_vector(self, coeffs):
-        out = [Fraction(0)] * self.n
-        for c, z in zip(coeffs, self.center):
-            if c:
-                out = [o + c * zi for o, zi in zip(out, z)]
-        return out
+        return mat_mul([coeffs], self.center)[0]
 
     # -- characters and multiplicities --------------------------------------------------
     def _label_blocks(self):
@@ -282,17 +236,6 @@ class TwistedGroupAlgebra:
         total = sum(b.field_degree * b.dim ** 2 for b in self.blocks)
         assert total == self.n, f"block dimensions sum to {total}, expected {self.n}"
 
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    def find_sign_block(self, eps_values) -> IrreducibleBlock:
-        """The one-dimensional block matching a character w -> +/-1."""
-        for b in self.blocks:
-            if b.dim == 1 and b.field_degree == 1:
-                if all(b.character[w.index] == eps_values(w) for w in self.group.elements):
-                    return b
-        raise ValueError("no block matches the requested sign character")
-
     def multiplicities(self, matrices: dict[int, list]) -> list[Fraction]:
         """Multiplicity of each block in a module given by N_w matrices.
 
@@ -300,20 +243,11 @@ class TwistedGroupAlgebra:
         field degree g the reported number is the common multiplicity of the
         g conjugate irreducibles.
         """
+        # tr(sum c_w M_w) = sum c_w tr(M_w): one trace per group element
+        traces = {wi: trace(m) for wi, m in matrices.items()}
         out = []
         for b in self.blocks:
-            dim = len(next(iter(matrices.values())))
-            acc = [[Fraction(0)] * dim for _ in range(dim)]
-            for wi, c in enumerate(b.idempotent):
-                if c:
-                    m = matrices[wi]
-                    for i in range(dim):
-                        row = m[i]
-                        arow = acc[i]
-                        for j in range(dim):
-                            if row[j]:
-                                arow[j] += c * row[j]
-            tr = sum((acc[i][i] for i in range(dim)), Fraction(0))
+            tr = sum((c * traces[wi] for wi, c in enumerate(b.idempotent) if c), Fraction(0))
             mult = tr / (b.field_degree * b.dim)
             if mult.denominator != 1 or mult < 0:
                 raise ValueError(f"non-integral multiplicity {mult} for block {b.index}")
@@ -325,13 +259,6 @@ def _basis_vector(n, i):
     v = [Fraction(0)] * n
     v[i] = Fraction(1)
     return v
-
-
-def _poly_power(p, m):
-    out = [Fraction(1)]
-    for _ in range(m):
-        out = poly_mul(out, p)
-    return out
 
 
 def _poly_product(ps):
@@ -352,8 +279,7 @@ def _exact_sqrt(x: Fraction) -> int:
     if x.denominator != 1 or x < 0:
         raise ValueError(f"expected a nonnegative integer, got {x}")
     n = int(x)
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
+    r = math.isqrt(n)
+    if r * r == n:
+        return r
     raise ValueError(f"{n} is not a perfect square; block shape unexpected")

@@ -9,13 +9,17 @@ Three pipelines, all exact:
 
 * `ext_self_induced` - Ext of an induced module against itself at a
   regular weight, computed by restricting the induced module to the
-  polynomial part and taking cohomology of the evaluated Koszul cochain
-  complex.  The expected answer is binomial(d + 1, n).
+  polynomial part.  The same Koszul builder gives K (x) M once each entry
+  c*x_i becomes the block c*A_i, A_i the shifted coordinate operator;
+  Koszul self-duality H^t(Hom(K, M)) = H_{m-t}(K (x) M) turns its homology
+  into the cochain cohomology.  The expected answer is binomial(d + 1, n).
 
 * `koszul_dual_dims` - graded dimensions of Ext against the degree-zero
   part, obtained by pushing the free resolution of that part through Hom
   and verifying that every induced differential vanishes, which leaves
   binomial(d + 1, n) * |W x| Gamma| in degree n.
+
+All matrix work, on scalar and on polynomial entries, goes through `linalg`.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from itertools import combinations
 from math import comb
 
 from .hecke import HeckeAlgebra
-from .linalg import mat_mul, rank
-from .modules import FiniteDimModule, induce_from_character, is_regular
+from .linalg import block_matrix, identity, mat_add, mat_mul, mat_scale, mat_sub, rank, \
+    zero_matrix
+from .modules import FiniteDimModule, action_matrix, induce_from_character, is_regular
 from .polynomials import Polynomial
 
 __all__ = [
@@ -51,7 +56,7 @@ class ChainComplex:
             b = self.differentials[n + 1]      # C_{n+2} -> C_{n+1}
             if not a or not b:
                 continue
-            prod = _poly_mat_mul(a, b)
+            prod = mat_mul(a, b)
             for row in prod:
                 for entry in row:
                     if entry:
@@ -100,21 +105,6 @@ class ExtTable:
 
     def __repr__(self):
         return f"ExtTable({self.to_json()})"
-
-
-def _poly_mat_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for t in range(mid):
-                term = a[i][t] * b[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _koszul_differentials(nvars_total, variables):
@@ -191,17 +181,9 @@ def degree_zero_action(algebra: HeckeAlgebra, variable_index: int):
     of positive-degree coefficients; the action is computed through the
     straightening kernel and must vanish identically.
     """
-    group = algebra.group
     nv = algebra.nvars
     gen = algebra.poly(Polynomial.variable(nv, variable_index))
-    n = len(group)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    origin = [Fraction(0)] * nv
-    for w in group.elements:
-        prod = algebra.multiply(gen, algebra.N(w))
-        for ui, p in prod.terms.items():
-            out[ui][w.index] += p.evaluate(origin)
-    return out
+    return action_matrix(algebra, gen, [Fraction(0)] * nv)
 
 
 def koszul_dual_dims(algebra: HeckeAlgebra) -> dict[int, int]:
@@ -243,47 +225,32 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
         raise ValueError("Ext tables are computed in the r = 1 specialization")
     mod = module or induce_from_character(base, weight, r_value)
     n = mod.dim
-    d = algebra.rs.dim
     # commuting operators: X_i - weight_i, and R - r_value (always zero here)
-    ops = []
-    for i in range(d):
-        lam = Fraction(weight[i])
-        ops.append([[mod.x[i][a][b] - (lam if a == b else 0) for b in range(n)]
-                    for a in range(n)])
-    ops.append([[Fraction(0)] * n for _ in range(n)])  # r acts by the scalar r_value
+    ops = [mat_sub(mod.x[i], mat_scale(identity(n), Fraction(weight[i])))
+           for i in range(algebra.rs.dim)]
+    ops.append(zero_matrix(n, n))
+    dims = _koszul_cohomology_dims(ops)
+    return ExtTable(dict(enumerate(dims)))
 
-    m = len(ops)
-    levels = [list(combinations(range(m), t)) for t in range(m + 1)]
-    index = [{s: i for i, s in enumerate(level)} for level in levels]
-    dims = {}
-    # cochain differential: delta(v, S) = sum_{i not in S} sign (A_i v, S + i)
-    deltas = []
-    for t in range(m):
-        src, dst = levels[t], levels[t + 1]
-        rows = len(dst) * n
-        cols = len(src) * n
-        mat = [[Fraction(0)] * cols for _ in range(rows)]
-        for jS, S in enumerate(src):
-            for i in range(m):
-                if i in S:
-                    continue
-                T = tuple(sorted(S + (i,)))
-                sign = Fraction(-1) ** T.index(i)
-                iT = index[t + 1][T]
-                A = ops[i]
-                for a in range(n):
-                    for b in range(n):
-                        if A[a][b]:
-                            mat[iT * n + a][jS * n + b] += sign * A[a][b]
-        deltas.append(mat)
-    # verify delta . delta = 0 exactly
-    for t in range(len(deltas) - 1):
-        prod = mat_mul(deltas[t + 1], deltas[t])
-        assert all(all(x == 0 for x in row) for row in prod), "cochain d^2 != 0"
-    ranks = [rank(mdl) if mdl and mdl[0] else 0 for mdl in deltas]
-    for t in range(m + 1):
-        space = len(levels[t]) * n
-        out_rank = ranks[t] if t < m else 0
-        in_rank = ranks[t - 1] if t >= 1 else 0
-        dims[t] = space - out_rank - in_rank
-    return ExtTable({t: v for t, v in dims.items()})
+
+def _koszul_cohomology_dims(ops) -> list[int]:
+    """dim H^t(Hom(K, M)) for t = 0..m, for m commuting operators on M.
+
+    K (x) M comes from `_koszul_differentials` with each entry c*x_i
+    replaced by the block c*ops[i]; d . d = 0 is checked, and self-duality
+    of the Koszul complex reads the cohomology off its homology in reverse.
+    """
+    m, n = len(ops), len(ops[0])
+    _, diffs = _koszul_differentials(m, [Polynomial.variable(m, i) for i in range(m)])
+    zero = zero_matrix(n, n)
+
+    def block(entry):
+        out = zero
+        for e, c in entry.terms.items():
+            out = mat_add(out, mat_scale(ops[e.index(1)], c))
+        return out
+
+    blocks = [block_matrix([[block(p) for p in row] for row in d]) for d in diffs]
+    complex_ = ChainComplex([comb(m, t) * n for t in range(m + 1)], blocks, nvars=0)
+    complex_.validate()
+    return complex_.homology_dims()[::-1]

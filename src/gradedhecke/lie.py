@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import mat_mul, nullspace, rank, rref, solve
+from .linalg import identity, mat_mul, mat_sub, nullspace, rank, rref, solve, transpose
 from .rootdata import RootSystem
 from .weylgroups import ExtendedWeylGroup, ParameterFunction
 
@@ -212,13 +212,13 @@ def _ad_on_span(L, vvec, idxs):
                 raise ValueError("ad(v) does not preserve the restricted root space")
             col[pos[t]] = c
         cols.append(col)
-    return [[cols[j][i] for j in range(len(idxs))] for i in range(len(idxs))]
+    return transpose(cols)
 
 
 def _nilpotency_degree(m) -> int:
     """Smallest e with m^e = 0; raises if m is not nilpotent."""
     size = len(m)
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(size)] for i in range(size)]
+    power = identity(size)
     for e in range(size + 1):
         if all(all(x == 0 for x in row) for row in power):
             return e
@@ -430,9 +430,7 @@ def _from_matrices(n, named_mats, levi_blocks) -> RootGradedLieAlgebra:
 
 
 def _commutator(a, b):
-    ab = mat_mul(a, b)
-    ba = mat_mul(b, a)
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def _torus_basis(n, mats, block_of):

@@ -1,23 +1,27 @@
 """
-Exact linear algebra over Q or a cyclotomic field.
+Exact linear algebra over Q or a cyclotomic field: the one matrix layer.
 
-Matrices are lists of lists of field elements (Fraction or Cyc).  Everything
-here is plain Gaussian elimination with exact division; no floating point
-enters any returned value.  Floats appear only inside `rational_roots` as a
-root-location hint, and every candidate root is verified exactly before use.
+Matrices are lists of lists of field elements (Fraction or Cyc).  Modules,
+the twisted group algebra, homology and the Lie models do all their matrix
+work through the functions here.  `mat_mul` and `mat_sub` use only `*`, `+`,
+`-` and truthiness, so they also serve matrices of `Polynomial` entries.
+Everything else is plain Gaussian elimination with exact division; no
+floating point enters any returned value.  Floats appear only inside
+`rational_roots` as a root-location hint, and every candidate root is
+verified exactly before use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Cyc, frac, poly_divmod, poly_gcd, poly_trim
+from .scalars import frac, poly_divmod, poly_gcd, poly_trim
 
 __all__ = [
     "mat_mul", "mat_vec", "mat_add", "mat_scale", "mat_sub", "identity",
-    "zero_matrix", "transpose", "mat_eq", "mat_pow", "rref", "rank",
-    "nullspace", "solve", "inverse", "min_poly", "char_poly",
-    "rational_roots", "squarefree_part",
+    "zero_matrix", "transpose", "trace", "block_matrix", "mat_eq", "mat_pow",
+    "rref", "rank", "nullspace", "solve", "coordinates", "min_poly",
+    "char_poly", "rational_roots", "root_multiplicity", "squarefree_part",
 ]
 
 
@@ -69,19 +73,29 @@ def mat_scale(a, c):
 
 
 def mat_pow(a, m):
-    n = len(a)
-    out = identity(n)
-    base = [row[:] for row in a]
-    while m:
+    """a^m for m >= 0 by repeated squaring, with no product by the identity."""
+    out = None
+    while True:
         if m & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
+            out = a if out is None else mat_mul(out, a)
         m >>= 1
-    return out
+        if not m:
+            return identity(len(a)) if out is None else out
+        a = mat_mul(a, a)
 
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def trace(a):
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
+def block_matrix(blocks):
+    """Assemble one matrix from a grid of blocks; blocks in a grid row share a height."""
+    return [[x for blk in brow for x in blk[a]]
+            for brow in blocks for a in range(len(brow[0]))]
 
 
 def mat_eq(a, b):
@@ -157,13 +171,28 @@ def solve(matrix, rhs):
     return x
 
 
-def inverse(matrix):
-    n = len(matrix)
-    aug = [list(row) + list(irow) for row, irow in zip(matrix, identity(n))]
+def coordinates(basis, vectors):
+    """Coordinates of each vector in the span of the rows `basis`, from one rref.
+
+    Returns one coordinate list per vector; a dependent basis gets 0 on its
+    redundant rows, as `solve` would.  Raises ValueError when a vector lies
+    outside the span.
+    """
+    if not vectors:
+        return []
+    k = len(basis)
+    aug = [[b[i] for b in basis] + [v[i] for v in vectors]
+           for i in range(len(vectors[0]))]
     rows, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    if pivots and pivots[-1] >= k:
+        raise ValueError("vector outside the span of the basis")
+    out = []
+    for j in range(len(vectors)):
+        x = [Fraction(0)] * k
+        for r, p in enumerate(pivots):
+            x[p] = rows[r][k + j]
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +226,7 @@ def char_poly(matrix) -> list[Fraction]:
     work = identity(n)
     for k in range(1, n + 1):
         work = mat_mul(matrix, work)
-        tr = sum((work[i][i] for i in range(n)), Fraction(0))
-        c = -tr / k
+        c = -trace(work) / k
         coeffs[n - k] = c
         if k < n:
             work = [row[:] for row in work]
@@ -260,9 +288,12 @@ def rational_roots(poly) -> list[Fraction]:
     return roots
 
 
-def scalar_field_convert(matrix, order):
-    """Lift a rational matrix into Q(zeta_order) entries."""
-    if order in (None, 1):
-        return matrix
-    return [[x if isinstance(x, Cyc) else Cyc(order, [frac(x)]) for x in row]
-            for row in matrix]
+def root_multiplicity(poly, root):
+    """(m, q) with poly = (x - root)^m * q and q(root) != 0; little-endian lists."""
+    m = 0
+    while True:
+        quo, rem = poly_divmod(poly, [-root, Fraction(1)])
+        if rem:
+            return m, poly
+        poly = quo
+        m += 1

@@ -10,6 +10,9 @@ its divided-difference correction.
 Induction from a character of the polynomial part produces the module with
 basis {N_w (x) 1}; its matrices come straight from the straightening kernel,
 so every test on induced modules exercises the multiplication too.
+
+All matrix work goes through `linalg`.  Modules are rational: an algebra
+with a cyclotomic order is rejected with a ValueError.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from fractions import Fraction
 
 from .groupalgebra import TwistedGroupAlgebra
 from .hecke import HeckeAlgebra
-from .linalg import char_poly, identity, mat_eq, mat_mul, mat_pow, mat_scale, min_poly, \
-    nullspace, rational_roots, rref
+from .linalg import char_poly, coordinates, identity, mat_add, mat_eq, mat_mul, mat_pow, \
+    mat_scale, mat_sub, mat_vec, min_poly, nullspace, rational_roots, root_multiplicity, \
+    transpose, zero_matrix
 from .polynomials import Polynomial
 
 __all__ = [
@@ -49,6 +53,7 @@ class FiniteDimModule:
 
     def __init__(self, algebra: HeckeAlgebra, x_matrices, group_matrices,
                  r_value=Fraction(1), validate=True):
+        _require_rational(algebra)
         self.algebra = algebra
         self.dim = len(x_matrices[0]) if x_matrices else len(next(iter(group_matrices.values())))
         self.x = [_as_matrix(m) for m in x_matrices]
@@ -87,22 +92,18 @@ class FiniteDimModule:
 
     def linear_poly_matrix(self, poly: Polynomial):
         """Action matrix of a linear polynomial in the coordinates and r."""
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        out = zero_matrix(self.dim, self.dim)
         for e, c in poly.terms.items():
             deg = sum(e)
             if deg == 0:
-                for i in range(self.dim):
-                    out[i][i] += c
-                continue
-            if deg != 1:
+                base = identity(self.dim)
+            elif deg != 1:
                 raise ValueError("only linear polynomials here")
-            j = e.index(1)
-            base = self.x[j] if j < self.algebra.rs.dim else \
-                mat_scale(identity(self.dim), self.r_value)
-            for a in range(self.dim):
-                for b in range(self.dim):
-                    if base[a][b]:
-                        out[a][b] += c * base[a][b]
+            elif e.index(1) < self.algebra.rs.dim:
+                base = self.x[e.index(1)]
+            else:
+                base = mat_scale(identity(self.dim), self.r_value)
+            out = mat_add(out, mat_scale(base, c))
         return out
 
     # -- validation -----------------------------------------------------------------------
@@ -128,9 +129,7 @@ class FiniteDimModule:
                 delta = alg._demazure(i, xi)  # a constant for linear xi
                 corr = mat_scale(identity(self.dim),
                                  alg._k_simple[i] * self.r_value * delta.constant_term())
-                target = [[rhs[a][b] + corr[a][b] for b in range(self.dim)]
-                          for a in range(self.dim)]
-                if not mat_eq(lhs, target):
+                if not mat_eq(lhs, mat_add(rhs, corr)):
                     problems.append(f"braid relation fails for s{i + 1}, x{j + 1}")
         # Gamma conjugation: N_g X(xi) = X(^g xi) N_g
         for gi in range(1, len(alg.group.gamma_elements)):
@@ -177,6 +176,13 @@ def _as_matrix(m):
     return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in m]
 
 
+def _require_rational(algebra: HeckeAlgebra):
+    if algebra.cyclotomic_order not in (None, 1):
+        raise ValueError(
+            "modules need rational parameters; this algebra has cyclotomic "
+            f"order {algebra.cyclotomic_order}")
+
+
 # ---------------------------------------------------------------------------
 # induction from characters of the polynomial part
 # ---------------------------------------------------------------------------
@@ -190,43 +196,35 @@ def induce_from_character(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
     """
     group = algebra.group
     rs = algebra.rs
+    _require_rational(algebra)
     if len(weight) != rs.dim:
         raise ValueError(f"weight needs {rs.dim} coordinates")
     if algebra.mode == "r1" and Fraction(r_value) != 1:
         raise ValueError("the r1 specialization fixes r = 1; rescale k instead")
     point = [Fraction(c) for c in weight] + [Fraction(r_value)]
-    n = len(group)
-
-    def action_matrix(gen_element):
-        cols = {}
-        gen = algebra.N(gen_element)
-        for w in group.elements:
-            prod = algebra.multiply(gen, algebra.N(w))
-            col = [Fraction(0)] * n
-            for ui, p in prod.terms.items():
-                col[ui] = p.evaluate(point)
-            cols[w.index] = col
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-    x_mats = []
-    for j in range(rs.dim):
-        xj = algebra.x(j)
-        cols = {}
-        for w in group.elements:
-            prod = algebra.multiply(xj, algebra.N(w))
-            col = [Fraction(0)] * n
-            for ui, p in prod.terms.items():
-                col[ui] = p.evaluate(point)
-            cols[w.index] = col
-        x_mats.append([[cols[j2][i] for j2 in range(n)] for i in range(n)])
-
+    x_mats = [action_matrix(algebra, algebra.x(j), point) for j in range(rs.dim)]
     gens = {}
     for i in range(rs.rank):
-        gens[("s", i)] = action_matrix(group.simple(i))
+        gens[("s", i)] = action_matrix(algebra, algebra.N(group.simple(i)), point)
     for gi in range(1, len(group.gamma_elements)):
-        gens[("g", gi)] = action_matrix(group.gamma_element(gi))
-    mode_r = Fraction(r_value)
-    return FiniteDimModule(algebra, x_mats, gens, mode_r, validate=validate)
+        gens[("g", gi)] = action_matrix(algebra, algebra.N(group.gamma_element(gi)), point)
+    return FiniteDimModule(algebra, x_mats, gens, Fraction(r_value), validate=validate)
+
+
+def action_matrix(algebra: HeckeAlgebra, element, point):
+    """Left multiplication by `element` on the basis {N_w (x) 1}.
+
+    Column w is the normal form of element * N_w with its polynomial
+    coefficients evaluated at `point` (coordinate values, then r).
+    """
+    n = len(algebra.group)
+    cols = []
+    for w in algebra.group.elements:
+        col = [Fraction(0)] * n
+        for ui, p in algebra.multiply(element, algebra.N(w)).terms.items():
+            col[ui] = p.evaluate(point)
+        cols.append(col)
+    return transpose(cols)
 
 
 def weight_multiset_oracle(algebra: HeckeAlgebra, weight) -> list[tuple]:
@@ -256,16 +254,17 @@ def weight_decomposition(module: FiniteDimModule) -> list[WeightDatum]:
     for xi in module.x:
         new_spaces = []
         for basis, partial in spaces:
-            op = _restrict(xi, basis)
+            op = transpose(coordinates(basis, [mat_vec(xi, v) for v in basis]))
             mp = min_poly(op)
             eigs = rational_roots(mp)
             dim_found = 0
             pieces = []
             for lam in eigs:
-                shifted = [[op[a][b] - (lam if a == b else 0) for b in range(len(op))]
-                           for a in range(len(op))]
-                ker = nullspace(mat_pow(shifted, len(op)))
-                sub = [_lift(v, basis) for v in ker]
+                # the generalized eigenspace is the kernel of (op - lam)^m, m the
+                # multiplicity of lam in the minimal polynomial
+                m, _ = root_multiplicity(mp, lam)
+                shifted = mat_sub(op, mat_scale(identity(len(op)), lam))
+                sub = mat_mul(nullspace(mat_pow(shifted, m)), basis)
                 dim_found += len(sub)
                 pieces.append((sub, partial + (lam,)))
             if dim_found != len(basis):
@@ -282,37 +281,6 @@ def weight_decomposition(module: FiniteDimModule) -> list[WeightDatum]:
     data = [WeightDatum(w, m) for w, m in sorted(out.items()) if m]
     assert sum(d.multiplicity for d in data) == n
     return data
-
-
-def _restrict(matrix, basis_rows):
-    """Matrix of the operator on the row-span of basis_rows (must be invariant)."""
-    from .linalg import solve
-
-    if not basis_rows:
-        return []
-    images = [_apply(matrix, v) for v in basis_rows]
-    cols = [[v[i] for v in basis_rows] for i in range(len(basis_rows[0]))]
-    out_cols = []
-    for img in images:
-        sol = solve(cols, img)
-        assert sol is not None, "subspace is not invariant"
-        out_cols.append(sol)
-    k = len(basis_rows)
-    return [[out_cols[j][i] for j in range(k)] for i in range(k)]
-
-
-def _apply(matrix, v):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0))
-            for row in matrix]
-
-
-def _lift(coords, basis_rows):
-    n = len(basis_rows[0])
-    out = [Fraction(0)] * n
-    for c, row in zip(coords, basis_rows):
-        if c:
-            out = [o + c * x for o, x in zip(out, row)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +392,9 @@ def _has_one_dim_submodule(module: FiniteDimModule) -> bool:
     """Exact search for a common eigenvector of x and the N generators."""
     for datum in weight_decomposition(module):
         # eigenvectors for each x-eigenvalue
-        shifted = [[module.x[0][a][b] - (datum.weight[0] if a == b else 0)
-                    for b in range(module.dim)] for a in range(module.dim)]
+        shifted = mat_sub(module.x[0], mat_scale(identity(module.dim), datum.weight[0]))
         for v in nullspace(shifted):
-            img = _apply(module.simple_matrix(0), v)
+            img = mat_vec(module.simple_matrix(0), v)
             # img proportional to v?
             pivot = next((i for i, c in enumerate(v) if c), None)
             if pivot is None:

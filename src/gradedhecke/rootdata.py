@@ -392,11 +392,6 @@ class RootSystem:
                 return self._component_index[i]
         raise ValueError("zero vector is not a root")
 
-    def two_lengths(self, component: int) -> bool:
-        lens = {self.root_length_sq(b) for b in self.roots
-                if self.component_of_root(b) == component}
-        return len(lens) > 1
-
     def describe(self) -> str:
         parts = [c.label() for c in self.components]
         if self.central_dim:
@@ -405,11 +400,3 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.describe()}, {len(self.roots)} roots)"
-
-
-def point_from_values(rs: RootSystem, values) -> tuple:
-    """Point of `a` from its pairing values with the coordinate basis."""
-    vals = [Fraction(v) for v in values]
-    if len(vals) != rs.dim:
-        raise ValueError("wrong number of coordinates")
-    return tuple(vals)

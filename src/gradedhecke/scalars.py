@@ -161,10 +161,6 @@ class Cyc:
         power %= order
         return cls(order, [Fraction(0)] * power + [Fraction(1)])
 
-    @classmethod
-    def from_rational(cls, order: int, value) -> "Cyc":
-        return cls(order, [frac(value)])
-
     def _coerce(self, other):
         if isinstance(other, Cyc):
             if other.order != self.order:

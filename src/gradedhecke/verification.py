@@ -11,6 +11,7 @@ deterministic.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -380,6 +381,8 @@ def suite_modules(algebra, rng, cases=6) -> SuiteResult:
     base = algebra.with_k(algebra.k, mode="r1") if algebra.mode != "r1" else algebra
     if base.mode != "r1":
         return SuiteResult("modules", True, "skipped: crossed-product mode")
+    if base.cyclotomic_order not in (None, 1):
+        return SuiteResult("modules", True, "skipped: cyclotomic parameters")
     table = None
     if len(base.group) <= GROUP_ALGEBRA_CAP:
         table = TwistedGroupAlgebra(base.group, base.cocycle)
@@ -433,6 +436,9 @@ def suite_homology(algebra, rng, cases=2) -> SuiteResult:
         if dims != expected:
             return SuiteResult("homology", False, f"dual dims {dims} != {expected}")
     base = algebra.with_k(algebra.k, mode="r1") if algebra.mode == "generic" else None
+    if base is not None and base.cyclotomic_order not in (None, 1):
+        return SuiteResult("homology", True,
+                           "Koszul, dual dims; Ext skipped: cyclotomic parameters")
     if base is not None and len(base.group) <= 16:
         for _ in range(cases):
             lam = _random_regular_weight(base, rng)
@@ -541,12 +547,9 @@ def run_verification(algebra: HeckeAlgebra, seed: int = 0, cases: int | None = N
     results = []
     for name in names:
         fn = ALL_SUITES[name]
-        rng = random.Random(seed ^ hash(name) & 0xFFFF)
+        rng = random.Random(seed ^ zlib.crc32(name.encode()))
         if cases is None:
             results.append(fn(algebra, rng))
         else:
-            try:
-                results.append(fn(algebra, rng, cases=cases))
-            except TypeError:
-                results.append(fn(algebra, rng))
+            results.append(fn(algebra, rng, cases=cases))
     return results

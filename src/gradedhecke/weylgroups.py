@@ -54,13 +54,6 @@ def _perm_compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
 
-def _perm_inverse(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 class ExtendedWeylGroup:
     """W x| Gamma acting on the ambient space of a root system."""
 
@@ -142,7 +135,7 @@ class ExtendedWeylGroup:
         for key, word in w_elements.items():
             for gi in range(len(self.gamma_elements)):
                 gmat = self.gamma_matrix(gi)
-                total = _int_mat_mul(_key_matrix(key), gmat)
+                total = _int_mat_mul(key, gmat)
                 items.append((len(word), word, gi, _matrix_key(total)))
         items.sort()
         for pos, (_, word, gi, key) in enumerate(items):
@@ -169,13 +162,13 @@ class ExtendedWeylGroup:
         return self._by_key[key]
 
     def multiply(self, u: GroupElement, v: GroupElement) -> GroupElement:
-        return self._by_key[_matrix_key(_int_mat_mul(_key_matrix(u.key), _key_matrix(v.key)))]
+        return self._by_key[_matrix_key(_int_mat_mul(u.key, v.key))]
 
     def inverse(self, u: GroupElement) -> GroupElement:
         cached = self._inverse_cache.get(u.index)
         if cached is not None:
             return cached
-        m = _key_matrix(u.key)
+        m = u.key
         # order is finite: invert by repeated multiplication
         ident = _identity_matrix(self.rs.dim)
         acc = m
@@ -335,10 +328,6 @@ def _matrix_key(m):
     return tuple(tuple(row) for row in m)
 
 
-def _key_matrix(key):
-    return key
-
-
 @dataclass(frozen=True)
 class EpsilonCharacter:
     """Signs on simple reflections, extended by word length, trivial on Gamma."""
@@ -399,9 +388,6 @@ class Cocycle:
 
     def is_trivial(self) -> bool:
         return all(v == 1 for row in self.table for v in row)
-
-    def value_gamma(self, gi: int, gj: int):
-        return self.table[gi][gj]
 
     def value(self, u: GroupElement, v: GroupElement):
         """Inflated value on W x| Gamma: depends only on the Gamma parts."""

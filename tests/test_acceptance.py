@@ -17,6 +17,7 @@ Counts and runtime budgets are pinned here and not configurable:
 import json
 import random
 import time
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -43,7 +44,7 @@ def _report(n, text):
 def test_criterion_1_associativity():
     for name in PRESET_LIST:
         algebra = build_preset(name)
-        rng = random.Random(1000 + hash(name) % 1000)
+        rng = random.Random(1000 + zlib.crc32(name.encode()) % 1000)
         start = time.time()
         for i in range(500):
             a = random_homogeneous_element(algebra, rng)

@@ -176,6 +176,29 @@ def test_ext_json(capsys):
     assert json.loads(capsys.readouterr().out) == {"0": 1, "1": 2, "2": 1}
 
 
+@pytest.fixture
+def cyclotomic_b2(tmp_path):
+    path = tmp_path / "b2_cyc.json"
+    path.write_text(json.dumps({"types": [["B", 2]], "k": ["z", "1"],
+                                "cyclotomic_order": 3}))
+    return str(path)
+
+
+def test_verify_skips_modules_for_cyclotomic_parameters(cyclotomic_b2, capsys):
+    code = run_cli("verify", "--algebra-file", cyclotomic_b2,
+                   "--suites", "modules,homology", "--cases", "1")
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[PASS] modules: skipped: cyclotomic parameters" in out
+    assert "[PASS] homology: Koszul, dual dims; Ext skipped: cyclotomic parameters" in out
+
+
+def test_ext_rejects_cyclotomic_parameters(cyclotomic_b2, capsys):
+    assert run_cli("ext", "--algebra-file", cyclotomic_b2, "--weight", "1,3") == 2
+    err = capsys.readouterr().err
+    assert "cyclotomic order 3" in err
+
+
 def test_export_contains_braid_coefficient(capsys):
     assert run_cli("export", "--preset", "A1", "--k", "1", "structure",
                    "--degree-cap", "2") == 0

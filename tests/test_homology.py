@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from gradedhecke.homology import ext_self_induced, generic_point_exactness, \
-    koszul_dual_dims, koszul_resolution, projective_resolution_H0
+from gradedhecke.homology import _koszul_cohomology_dims, ext_self_induced, \
+    generic_point_exactness, koszul_dual_dims, koszul_resolution, projective_resolution_H0
+from gradedhecke.linalg import identity, mat_add, mat_mul, mat_scale, rank, zero_matrix
 from gradedhecke.presets import build_preset
 from gradedhecke.rootdata import RootSystem
 from gradedhecke.weylgroups import ExtendedWeylGroup, ParameterFunction
@@ -61,6 +64,62 @@ def test_ext_vanishing_and_nonvanishing():
     top = H.rs.dim + 1
     assert table.dims[top] == 1
     assert all(v == 0 for n, v in table.dims.items() if n > top)
+
+
+def cochain_dims_oracle(ops):
+    """dim H^t of the Koszul cochain complex on M, built subset by subset.
+
+    delta(v, S) = sum over i not in S of sign * (A_i v, S + i), the sign
+    being (-1) to the position of i in S + i.
+    """
+    n, m = len(ops[0]), len(ops)
+    levels = [list(combinations(range(m), t)) for t in range(m + 1)]
+    index = [{s: i for i, s in enumerate(level)} for level in levels]
+    deltas = []
+    for t in range(m):
+        mat = [[Fraction(0)] * (len(levels[t]) * n) for _ in range(len(levels[t + 1]) * n)]
+        for jS, S in enumerate(levels[t]):
+            for i in range(m):
+                if i in S:
+                    continue
+                T = tuple(sorted(S + (i,)))
+                sign = Fraction(-1) ** T.index(i)
+                iT = index[t + 1][T]
+                for a in range(n):
+                    for b in range(n):
+                        mat[iT * n + a][jS * n + b] += sign * ops[i][a][b]
+        deltas.append(mat)
+    for t in range(m - 1):
+        assert not any(any(row) for row in mat_mul(deltas[t + 1], deltas[t]))
+    ranks = [rank(d) for d in deltas] + [0]
+    return [len(levels[t]) * n - ranks[t] - (ranks[t - 1] if t else 0)
+            for t in range(m + 1)]
+
+
+def test_koszul_builder_matches_cochain_oracle_on_an_asymmetric_row():
+    e12 = [[Fraction(int((a, b) == (0, 1))) for b in range(3)] for a in range(3)]
+    e13 = [[Fraction(int((a, b) == (0, 2))) for b in range(3)] for a in range(3)]
+    assert cochain_dims_oracle([e12, e13]) == [1, 3, 2]
+    assert _koszul_cohomology_dims([e12, e13]) == [1, 3, 2]
+
+
+def test_koszul_builder_matches_cochain_oracle_on_random_commuting_ops():
+    # two commuting families: sums of E_12..E_1n, and polynomials in one matrix
+    rng = random.Random(11)
+    for case in range(30):
+        n = rng.randint(2, 4)
+        base = [[Fraction(rng.choice([0, 0, 1, -1, 2])) for _ in range(n)] for _ in range(n)]
+        ops = []
+        for _ in range(rng.randint(1, 3)):
+            if case % 2:
+                op = zero_matrix(n, n)
+                for p in (identity(n), base, mat_mul(base, base)):
+                    op = mat_add(op, mat_scale(p, Fraction(rng.randint(-2, 2))))
+            else:
+                op = zero_matrix(n, n)
+                op[0][1:] = [Fraction(rng.randint(-2, 2)) for _ in range(n - 1)]
+            ops.append(op)
+        assert _koszul_cohomology_dims(ops) == cochain_dims_oracle(ops)
 
 
 def test_ext_requires_regular_weight():

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gradedhecke
 from gradedhecke.presets import PRESETS, build_preset
-from gradedhecke.verification import ALL_SUITES, run_verification
+from gradedhecke.verification import ALL_SUITES, SuiteResult, run_verification
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -26,3 +32,36 @@ def test_r1_mode_suites():
                                suites=["associativity", "center", "graded-limit",
                                        "modules"])
     assert all(r.passed for r in results)
+
+
+def test_suite_seeds_do_not_depend_on_string_hashing():
+    script = (
+        "from gradedhecke.presets import build_preset\n"
+        "from gradedhecke.verification import ALL_SUITES, SuiteResult, run_verification\n"
+        "ALL_SUITES['probe'] = lambda algebra, rng, cases=None: "
+        "SuiteResult('probe', True, repr(rng.random()))\n"
+        "print(run_verification(build_preset('A1'), seed=0, suites=['probe'])[0].line())\n")
+    src = str(Path(gradedhecke.__file__).parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                      capture_output=True, check=True, text=True).stdout)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("[PASS] probe: 0.")
+
+
+def test_type_error_inside_a_suite_propagates(monkeypatch):
+    calls = []
+
+    def broken(algebra, rng, cases=4):
+        calls.append(cases)
+        if cases == 3:
+            raise TypeError("defect inside the suite")
+        return SuiteResult("stub", True, f"{cases} cases")
+
+    monkeypatch.setitem(ALL_SUITES, "stub", broken)
+    with pytest.raises(TypeError, match="defect inside the suite"):
+        run_verification(build_preset("A1"), seed=0, cases=3, suites=["stub"])
+    assert calls == [3]
+

@@ -137,11 +137,12 @@ class HeckeAlgebra:
         moved = self.group.act_polynomial(s, p)
         return divide_by_linear(p - moved, self.rs.root_polynomial(tuple(beta)))
 
-    def _correction(self, i: int, p: Polynomial) -> Polynomial:
+    def _correction(self, i: int, p: Polynomial, moved: Polynomial) -> Polynomial:
+        """k(alpha_i) r (p - moved) / alpha_i, where moved = ^{s_i} p."""
         ki = self._k_simple[i]
         if ki == 0:
             return Polynomial.zero(self.nvars)
-        delta = self._demazure(i, p)
+        delta = divide_by_linear(p - moved, self._simple_polys[i])
         if not delta:
             return delta
         if self.mode == "r1":
@@ -151,23 +152,24 @@ class HeckeAlgebra:
     def _move_poly(self, p: Polynomial, v: GroupElement) -> dict[int, Polynomial]:
         """Rewrite p * N_v as sum_u N_u q_u; returns {u.index: q_u}."""
         group = self.group
-        state = [(group.identity, p)]
+        state = {group.identity.index: p}
         for i in v.word:
             s = group.simple(i)
-            new: list[tuple[GroupElement, Polynomial]] = []
-            for u, q in state:
+            new: dict[int, Polynomial] = {}
+            for ui, q in state.items():
                 moved = group.act_polynomial(s, q)
-                new.append((group.multiply(u, s), moved))
-                corr = self._correction(i, q)
-                if corr:
-                    new.append((u, corr))
-            state = _merge_terms(group, new)
+                corr = self._correction(i, q, moved)
+                for ti, piece in ((group.multiply(group.elements[ui], s).index, moved),
+                                  (ui, corr)):
+                    if piece:
+                        new[ti] = new[ti] + piece if ti in new else piece
+            state = {ui: q for ui, q in new.items() if q}
         if v.gamma:
             g = group.gamma_element(v.gamma)
             ginv = group.inverse(g)
-            state = [(group.multiply(u, g), group.act_polynomial(ginv, q))
-                     for u, q in state]
-        return {u.index: q for u, q in state if q}
+            state = {group.multiply(group.elements[ui], g).index:
+                     group.act_polynomial(ginv, q) for ui, q in state.items()}
+        return {ui: q for ui, q in state.items() if q}
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement") -> "HeckeElement":
         self._assert_mine(a)
@@ -248,14 +250,7 @@ class HeckeAlgebra:
     def im_involution(self, a: "HeckeElement") -> "HeckeElement":
         """N_w -> sgn(w) N_w, x -> -x, r -> r; an involution of the same algebra."""
         self._assert_mine(a)
-        images = [Polynomial.variable(self.nvars, j, Fraction(-1))
-                  for j in range(self.rs.dim)]
-        images.append(Polynomial.variable(self.nvars, self._r_index))
-        terms = {}
-        for wi, p in a.terms.items():
-            w = self.group.elements[wi]
-            terms[wi] = p.substitute_linear(images).scale(Fraction(w.sign()))
-        return HeckeElement(self, terms)
+        return self._signed_substitution(a, Fraction(-1), Fraction(1), self)
 
     def sgn_involution(self, a: "HeckeElement") -> "HeckeElement":
         """N_w -> sgn(w) N_w, r -> -r, x fixed.
@@ -268,8 +263,13 @@ class HeckeAlgebra:
             target = self.with_k(self.k.scaled(Fraction(-1)))
         else:
             target = self
-        images = [Polynomial.variable(self.nvars, j) for j in range(self.rs.dim)]
-        images.append(Polynomial.variable(self.nvars, self._r_index, Fraction(-1)))
+        return self._signed_substitution(a, Fraction(1), Fraction(-1), target)
+
+    def _signed_substitution(self, a: "HeckeElement", x_sign, r_sign,
+                             target: "HeckeAlgebra") -> "HeckeElement":
+        """N_w p -> sgn(w) N_w p(x_sign * x, r_sign * r), as an element of target."""
+        images = [Polynomial.variable(self.nvars, j, x_sign) for j in range(self.rs.dim)]
+        images.append(Polynomial.variable(self.nvars, self._r_index, r_sign))
         terms = {}
         for wi, p in a.terms.items():
             w = self.group.elements[wi]
@@ -434,18 +434,6 @@ class HeckeAlgebra:
 
     def __repr__(self):
         return f"HeckeAlgebra({self.describe()})"
-
-
-def _merge_terms(group, pairs):
-    acc: dict[int, Polynomial] = {}
-    order: dict[int, GroupElement] = {}
-    for u, q in pairs:
-        if u.index in acc:
-            acc[u.index] = acc[u.index] + q
-        else:
-            acc[u.index] = q
-            order[u.index] = u
-    return [(order[i], p) for i, p in acc.items() if p]
 
 
 class HeckeElement:

@@ -271,6 +271,8 @@ def divide_by_linear(num: Polynomial, alpha: Polynomial) -> Polynomial:
         break
     if pivot is None:
         raise ZeroDivisionError("division by zero form")
+    if isinstance(pivot_coeff, int):
+        pivot_coeff = Fraction(pivot_coeff)  # int / int would give a float
 
     quotient_terms: dict[tuple, object] = {}
     rem = num

@@ -22,7 +22,7 @@ from .homology import ext_self_induced, koszul_dual_dims, koszul_resolution, \
 from .modules import induce_from_character, is_regular, restrict_to_group_algebra, \
     weight_decomposition, weight_multiset_oracle
 from .polynomials import Polynomial
-from .weylgroups import Cocycle, centralizer_components
+from .weylgroups import Cocycle, _subgroup, centralizer_components
 
 __all__ = ["SuiteResult", "run_verification", "random_element",
            "random_homogeneous_element", "invariant_polynomials",
@@ -50,31 +50,28 @@ _COEFFS = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2)]
 def random_element(algebra: HeckeAlgebra, rng: random.Random,
                    terms: int = 2, max_degree: int = 2) -> HeckeElement:
     """A small random element with exact rational coefficients."""
-    avoid_r = algebra.mode == "r1"
-    nv = algebra.nvars
-    out = {}
-    for _ in range(terms):
-        w = rng.choice(algebra.group.elements)
-        expo = [0] * nv
-        for _ in range(rng.randint(0, max_degree)):
-            expo[rng.randrange(nv - 1 if avoid_r else nv)] += 1
-        p = Polynomial(nv, {tuple(expo): rng.choice(_COEFFS)})
-        out[w.index] = out.get(w.index, Polynomial.zero(nv)) + p
-    return algebra.from_terms(out)
+    return _random_terms(algebra, rng, terms, lambda: rng.randint(0, max_degree))
 
 
 def random_homogeneous_element(algebra: HeckeAlgebra, rng: random.Random,
                                terms: int = 2, half_degree: int | None = None) -> HeckeElement:
     """Random element homogeneous of one graded degree (one filtration layer
     in r1 mode, where r is never drawn)."""
+    n = rng.randint(0, 2) if half_degree is None else half_degree
+    return _random_terms(algebra, rng, terms, lambda: n)
+
+
+def _random_terms(algebra: HeckeAlgebra, rng: random.Random, terms: int,
+                  draw_degree) -> HeckeElement:
+    """Sum of `terms` draws N_w * c * monomial; draw_degree() is called once
+    per term, after w is drawn."""
     avoid_r = algebra.mode == "r1"
     nv = algebra.nvars
-    n = rng.randint(0, 2) if half_degree is None else half_degree
     out = {}
     for _ in range(terms):
         w = rng.choice(algebra.group.elements)
         expo = [0] * nv
-        for _ in range(n):
+        for _ in range(draw_degree()):
             expo[rng.randrange(nv - 1 if avoid_r else nv)] += 1
         p = Polynomial(nv, {tuple(expo): rng.choice(_COEFFS)})
         out[w.index] = out.get(w.index, Polynomial.zero(nv)) + p
@@ -429,16 +426,18 @@ def suite_homology(algebra, rng, cases=2) -> SuiteResult:
     point = tuple(Fraction(p) for p in range(2, d + 3))
     if not generic_point_exactness(complex_, point):
         return SuiteResult("homology", False, "Koszul complex not generically exact")
-    generic = algebra if algebra.mode == "generic" else None
-    if generic is not None:
-        dims = koszul_dual_dims(generic)
+    ran = ["Koszul"]
+    base = algebra if algebra.mode == "r1" else None
+    if algebra.mode == "generic":
+        dims = koszul_dual_dims(algebra)
         expected = {n: comb(d + 1, n) * len(algebra.group) for n in range(d + 2)}
         if dims != expected:
             return SuiteResult("homology", False, f"dual dims {dims} != {expected}")
-    base = algebra.with_k(algebra.k, mode="r1") if algebra.mode == "generic" else None
+        ran.append("dual dims")
+        base = algebra.with_k(algebra.k, mode="r1")
     if base is not None and base.cyclotomic_order not in (None, 1):
         return SuiteResult("homology", True,
-                           "Koszul, dual dims; Ext skipped: cyclotomic parameters")
+                           ", ".join(ran) + "; Ext skipped: cyclotomic parameters")
     if base is not None and len(base.group) <= 16:
         for _ in range(cases):
             lam = _random_regular_weight(base, rng)
@@ -447,7 +446,8 @@ def suite_homology(algebra, rng, cases=2) -> SuiteResult:
             if table.as_tuple() != want:
                 return SuiteResult("homology", False,
                                    f"Ext dims {table.as_tuple()} != {want} at {lam}")
-    return SuiteResult("homology", True, "Koszul, dual dims, Ext dims")
+        ran.append("Ext dims")
+    return SuiteResult("homology", True, ", ".join(ran))
 
 
 def suite_cosets(algebra, rng, cases=4) -> SuiteResult:
@@ -480,23 +480,10 @@ def _component_oracle(group, sigma, levi_simple_indices):
     """Independent count: orbits of W_sigma on the coset space W / W_M."""
     rs = group.rs
     w_elements = [g for g in group.elements if g.gamma == 0]
-    levi = set()
-    frontier = [group.identity]
-    levi.add(group.identity.key)
-    gens = [group.simple(i) for i in levi_simple_indices]
-    while frontier:
-        new = []
-        for u in frontier:
-            for g in gens:
-                v = group.multiply(u, g)
-                if v.key not in levi:
-                    levi.add(v.key)
-                    new.append(v)
-        frontier = new
+    levi = _subgroup(group, [group.simple(i) for i in levi_simple_indices])
     cosets = {}
     for g in w_elements:
-        members = frozenset(group.multiply(g, group.from_key(m)).key for m in levi)
-        cosets[g.key] = members
+        cosets[g.key] = frozenset(group.multiply(g, m).key for m in levi)
     distinct = {}
     for key, members in cosets.items():
         distinct[members] = distinct.get(members) or key
@@ -512,7 +499,6 @@ def _component_oracle(group, sigma, levi_simple_indices):
         return x
 
     for members in list(distinct):
-        rep = group.from_key(next(iter(members)))
         for s in sigma_gens:
             moved = frozenset(group.multiply(s, group.from_key(m)).key for m in members)
             ra, rb = find(members), find(moved)

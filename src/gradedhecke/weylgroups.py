@@ -3,8 +3,12 @@ Extended Weyl groups W x| Gamma, 2-cocycles and parameter functions.
 
 Gamma is a group of diagram automorphisms: permutations of the base that
 preserve the Cartan matrix.  Group elements are stored as (reduced word,
-Gamma part, action matrix on a^vee); the group acts faithfully on the root
-span, so the action matrix doubles as the identity key.
+Gamma part, action matrix on a^vee).  Enumeration builds, once, a table of
+right products by each simple reflection and each Gamma element; products,
+inverses and words are walks through that table, so no matrix is multiplied
+after the group is built.  The action matrix serves the actions on roots,
+points and polynomials, and keys `from_key` and `reflection`: the group acts
+faithfully on the root span.
 """
 
 from __future__ import annotations
@@ -65,9 +69,8 @@ class ExtendedWeylGroup:
         self.size_cap = size_cap
         self.elements: list[GroupElement] = []
         self._by_key: dict[tuple, GroupElement] = {}
-        self._inverse_cache: dict[int, GroupElement] = {}
         self._enumerate()
-        self.identity = self._by_key[_matrix_key(_identity_matrix(self.rs.dim))]
+        self.identity = self.elements[0]
 
     # -- Gamma --------------------------------------------------------------------
     def _close_gamma(self, gens):
@@ -114,7 +117,7 @@ class ExtendedWeylGroup:
         rank, dim = self.rs.rank, self.rs.dim
         refl = [self.rs.reflection_matrix(i) for i in range(rank)]
         ident = _identity_matrix(dim)
-        w_elements = {_matrix_key(ident): ()}
+        w_elements = {ident: ()}
         frontier = [ident]
         frontier_words = [()]
         while frontier:
@@ -122,28 +125,43 @@ class ExtendedWeylGroup:
             for mat, word in zip(frontier, frontier_words):
                 for i in range(rank):
                     prod = _int_mat_mul(mat, refl[i])
-                    key = _matrix_key(prod)
-                    if key not in w_elements:
-                        w_elements[key] = word + (i,)
+                    if prod not in w_elements:
+                        w_elements[prod] = word + (i,)
                         new.append(prod)
                         new_words.append(word + (i,))
                         if len(w_elements) * max(1, len(self.gamma_elements)) > self.size_cap:
                             raise ValueError("group enumeration exceeded the size cap")
             frontier, frontier_words = new, new_words
 
-        items = []
-        for key, word in w_elements.items():
-            for gi in range(len(self.gamma_elements)):
-                gmat = self.gamma_matrix(gi)
-                total = _int_mat_mul(key, gmat)
-                items.append((len(word), word, gi, _matrix_key(total)))
-        items.sort()
+        gammas = [self.gamma_matrix(gi) for gi in range(len(self.gamma_elements))]
+        items = sorted((len(word), word, gi, _int_mat_mul(key, gmat))
+                       for key, word in w_elements.items()
+                       for gi, gmat in enumerate(gammas))
         for pos, (_, word, gi, key) in enumerate(items):
             elt = GroupElement(key=key, word=word, gamma=gi, index=pos)
             self.elements.append(elt)
             if key in self._by_key:
                 raise ValueError("group does not act faithfully on a")
             self._by_key[key] = elt
+        # _times[u.index]: indices of u*s_1 .. u*s_rank, then of u*gamma_gi
+        self._times = [[self._by_key[_int_mat_mul(u.key, g)].index for g in refl + gammas]
+                       for u in self.elements]
+        # (w gamma)^-1 = gamma^-1 w^-1, and w^-1 is the reversed word
+        self._inverses = []
+        for u in self.elements:
+            perm = self.gamma_elements[u.gamma]
+            ginv = self.gamma_element(self._gamma_index[tuple(perm.index(j) for j in range(rank))])
+            self._inverses.append(self._walk(reversed(u.word), start=ginv.index))
+
+    def _walk(self, word, gamma_idx: int = 0, start: int = 0) -> GroupElement:
+        """start * s_word * gamma, read off the table."""
+        times = self._times
+        i = start
+        for j in word:
+            i = times[i][j]
+        if gamma_idx:
+            i = times[i][self.rs.rank + gamma_idx]
+        return self.elements[i]
 
     def __len__(self):
         return len(self.elements)
@@ -153,40 +171,22 @@ class ExtendedWeylGroup:
 
     # -- group operations ---------------------------------------------------------------
     def simple(self, i: int) -> GroupElement:
-        return self._by_key[_matrix_key(self.rs.reflection_matrix(i))]
+        return self.elements[self._times[0][i]]
 
     def gamma_element(self, gi: int) -> GroupElement:
-        return self._by_key[self.gamma_matrix(gi)]
+        return self.elements[self._times[0][self.rs.rank + gi]]
 
     def from_key(self, key) -> GroupElement:
         return self._by_key[key]
 
     def multiply(self, u: GroupElement, v: GroupElement) -> GroupElement:
-        return self._by_key[_matrix_key(_int_mat_mul(u.key, v.key))]
+        return self._walk(v.word, v.gamma, u.index)
 
     def inverse(self, u: GroupElement) -> GroupElement:
-        cached = self._inverse_cache.get(u.index)
-        if cached is not None:
-            return cached
-        m = u.key
-        # order is finite: invert by repeated multiplication
-        ident = _identity_matrix(self.rs.dim)
-        acc = m
-        prev = ident
-        while _matrix_key(acc) != _matrix_key(ident):
-            prev = acc
-            acc = _int_mat_mul(acc, m)
-        out = self._by_key[_matrix_key(prev)] if u.length or u.gamma else u
-        self._inverse_cache[u.index] = out
-        return out
+        return self._inverses[u.index]
 
     def word_element(self, word, gamma_idx: int = 0) -> GroupElement:
-        out = self.identity
-        for i in word:
-            out = self.multiply(out, self.simple(i))
-        if gamma_idx:
-            out = self.multiply(out, self.gamma_element(gamma_idx))
-        return out
+        return self._walk(word, gamma_idx)
 
     # -- actions ----------------------------------------------------------------------
     def act_root(self, u: GroupElement, beta):
@@ -223,7 +223,7 @@ class ExtendedWeylGroup:
     def simple_reflection_classes(self) -> list[list[int]]:
         """Partition of simple-root indices by conjugacy in the full group."""
         simples = [self.simple(i) for i in range(self.rs.rank)]
-        keys = {s.key: i for i, s in enumerate(simples)}
+        positions = {s.index: i for i, s in enumerate(simples)}
         parent = list(range(self.rs.rank))
 
         def find(i):
@@ -236,7 +236,7 @@ class ExtendedWeylGroup:
             ginv = self.inverse(g)
             for i, s in enumerate(simples):
                 conj = self.multiply(self.multiply(g, s), ginv)
-                j = keys.get(conj.key)
+                j = positions.get(conj.index)
                 if j is not None:
                     ri, rj = find(i), find(j)
                     if ri != rj:
@@ -247,7 +247,13 @@ class ExtendedWeylGroup:
         return [sorted(v) for _, v in sorted(classes.items())]
 
     def epsilon_characters(self) -> list["EpsilonCharacter"]:
-        """All sign characters constant on reflection classes, trivial on Gamma."""
+        """All sign characters constant on reflection classes, trivial on Gamma.
+
+        On a Coxeter group a sign assignment to the simple reflections that is
+        constant on their conjugacy classes extends to a character.  The
+        classes here are taken in W x| Gamma, so they are Gamma-stable and
+        every such assignment is a character of W x| Gamma trivial on Gamma.
+        """
         classes = self.simple_reflection_classes()
         out = []
         for mask in range(1 << len(classes)):
@@ -256,17 +262,8 @@ class ExtendedWeylGroup:
                 val = -1 if (mask >> ci) & 1 else 1
                 for i in cls:
                     signs[i] = val
-            eps = EpsilonCharacter(tuple(signs))
-            if self._is_character(eps):
-                out.append(eps)
+            out.append(EpsilonCharacter(tuple(signs)))
         return out
-
-    def _is_character(self, eps: "EpsilonCharacter") -> bool:
-        for u in self.elements:
-            for v in self.elements:
-                if eps(self.multiply(u, v)) != eps(u) * eps(v):
-                    return False
-        return True
 
     # -- orbits -------------------------------------------------------------------------
     def simple_root_orbits(self) -> list[list[int]]:
@@ -322,10 +319,6 @@ def _int_mat_mul(a, b):
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n))
-
-
-def _matrix_key(m):
-    return tuple(tuple(row) for row in m)
 
 
 @dataclass(frozen=True)
@@ -546,26 +539,26 @@ def centralizer_components(group: ExtendedWeylGroup, sigma, levi_simple_indices)
     seen = set()
     reps = []
     for g in sorted(w_elements, key=lambda e: (e.length, e.word)):
-        if g.key in seen:
+        if g.index in seen:
             continue
         reps.append(g)
         for a in w_sigma:
             ag = group.multiply(a, g)
             for b in w_levi:
-                seen.add(group.multiply(ag, b).key)
+                seen.add(group.multiply(ag, b).index)
     return len(reps), reps
 
 
 def _subgroup(group, generators):
-    elems = {group.identity.key: group.identity}
+    elems = {group.identity.index: group.identity}
     frontier = [group.identity]
     while frontier:
         new = []
         for u in frontier:
             for g in generators:
                 v = group.multiply(u, g)
-                if v.key not in elems:
-                    elems[v.key] = v
+                if v.index not in elems:
+                    elems[v.index] = v
                     new.append(v)
         frontier = new
     return list(elems.values())

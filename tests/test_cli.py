@@ -193,6 +193,12 @@ def test_verify_skips_modules_for_cyclotomic_parameters(cyclotomic_b2, capsys):
     assert "[PASS] homology: Koszul, dual dims; Ext skipped: cyclotomic parameters" in out
 
 
+def test_verify_homology_detail_names_what_ran(capsys):
+    assert run_cli("verify", "--preset", "B2", "--mode", "r1",
+                   "--suites", "homology", "--cases", "1") == 0
+    assert capsys.readouterr().out.strip() == "[PASS] homology: Koszul, Ext dims"
+
+
 def test_ext_rejects_cyclotomic_parameters(cyclotomic_b2, capsys):
     assert run_cli("ext", "--algebra-file", cyclotomic_b2, "--weight", "1,3") == 2
     err = capsys.readouterr().err

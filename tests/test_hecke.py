@@ -139,6 +139,15 @@ def test_im_involution_random(A1):
         assert A1.im_involution(A1.im_involution(a)) == a
 
 
+def test_im_and_sgn_pinned():
+    b2 = build_preset("B2")
+    a = random_element(b2, random.Random(3))
+    assert a.to_string() == "N[s1*s2]*(-1/2*x1*r) + N[s1*s2*s1*s2]*(x1*r)"
+    flipped = "N[s1*s2]*(1/2*x1*r) + N[s1*s2*s1*s2]*(-x1*r)"
+    assert b2.im_involution(a).to_string() == flipped
+    assert b2.sgn_involution(a).to_string() == flipped
+
+
 def test_sgn_flips_r(A1):
     assert A1.sgn_involution(A1.r()) == A1.r().scale(Fraction(-1))
 

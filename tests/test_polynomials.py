@@ -52,6 +52,12 @@ def test_division_exact_and_failing():
         divide_by_linear(x(0) * x(0) + Polynomial.constant(NV, Fraction(1)), x(0))
 
 
+def test_division_stays_exact_on_int_coefficients():
+    q = divide_by_linear(Polynomial(2, {(1, 0): 1}), Polynomial(2, {(1, 0): 2}))
+    (c,) = q.terms.values()
+    assert c == Fraction(1, 2) and type(c) is Fraction
+
+
 # --- group action and divided differences over A2 ---------------------------
 
 A2 = build_preset("A2")

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import gradedhecke
 from gradedhecke.presets import PRESETS, build_preset
-from gradedhecke.verification import ALL_SUITES, SuiteResult, run_verification
+from gradedhecke.verification import ALL_SUITES, SuiteResult, random_element, \
+    random_homogeneous_element, run_verification
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -65,3 +67,17 @@ def test_type_error_inside_a_suite_propagates(monkeypatch):
         run_verification(build_preset("A1"), seed=0, cases=3, suites=["stub"])
     assert calls == [3]
 
+
+def test_random_draws_pinned():
+    # the suites and acceptance criterion 1 depend on this exact draw order
+    b2 = build_preset("B2")
+    rng = random.Random(0)
+    assert random_element(b2, rng).to_string() == \
+        "N[s2*s1*s2]*(-x1) + N[s1*s2*s1*s2]*(1/2*x2)"
+    assert random_homogeneous_element(b2, rng).to_string() == \
+        "N[s1*s2]*(-2*r) + N[s2*s1]*(-3/2*x1)"
+    b2r1 = build_preset("B2", mode="r1")
+    rng = random.Random(2)
+    assert random_element(b2r1, rng).to_string() == "N[e]*(-3/2) + N[s1*s2*s1]*(3/2)"
+    assert random_homogeneous_element(b2r1, rng).to_string() == \
+        "N[e]*(3*x1*x2) + N[s2*s1]*(x1*x2)"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedhecke.presets import PRESETS, build_preset
 from gradedhecke.rootdata import RootSystem
 from gradedhecke.weylgroups import Cocycle, ExtendedWeylGroup, ParameterFunction, \
     centralizer_components
@@ -57,6 +58,36 @@ def test_epsilon_characters():
     assert {e.label() for e in a2f} == {"triv", "sgn"}
     g2 = group([("G", 2)]).epsilon_characters()
     assert len(g2) == 4
+
+
+def _key_product(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_table_agrees_with_matrices(name):
+    g = build_preset(name).group
+    assert g.identity is g.elements[0] and g.identity.is_identity()
+    for u in g.elements:
+        assert g.word_element(u.word, u.gamma) is u
+        assert g.multiply(u, g.inverse(u)) is g.identity
+        for v in g.elements:
+            assert g.multiply(u, v).key == _key_product(u.key, v.key)
+
+
+def _is_character(g, eps):
+    return all(eps(g.multiply(u, v)) == eps(u) * eps(v)
+               for u in g.elements for v in g.elements)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_epsilon_characters_are_multiplicative(name):
+    g = build_preset(name).group
+    chars = g.epsilon_characters()
+    assert len(chars) == 2 ** len(g.simple_reflection_classes())
+    assert all(_is_character(g, eps) for eps in chars)
 
 
 def test_epsilon_conjugation_invariant():

@@ -250,7 +250,7 @@ class HeckeAlgebra:
     def im_involution(self, a: "HeckeElement") -> "HeckeElement":
         """N_w -> sgn(w) N_w, x -> -x, r -> r; an involution of the same algebra."""
         self._assert_mine(a)
-        return self._signed_substitution(a, Fraction(-1), Fraction(1), self)
+        return self._rescale(a, self, GroupElement.sign, x_factor=-1)
 
     def sgn_involution(self, a: "HeckeElement") -> "HeckeElement":
         """N_w -> sgn(w) N_w, r -> -r, x fixed.
@@ -263,18 +263,7 @@ class HeckeAlgebra:
             target = self.with_k(self.k.scaled(Fraction(-1)))
         else:
             target = self
-        return self._signed_substitution(a, Fraction(1), Fraction(-1), target)
-
-    def _signed_substitution(self, a: "HeckeElement", x_sign, r_sign,
-                             target: "HeckeAlgebra") -> "HeckeElement":
-        """N_w p -> sgn(w) N_w p(x_sign * x, r_sign * r), as an element of target."""
-        images = [Polynomial.variable(self.nvars, j, x_sign) for j in range(self.rs.dim)]
-        images.append(Polynomial.variable(self.nvars, self._r_index, r_sign))
-        terms = {}
-        for wi, p in a.terms.items():
-            w = self.group.elements[wi]
-            terms[wi] = p.substitute_linear(images).scale(Fraction(w.sign()))
-        return HeckeElement(target, terms)
+        return self._rescale(a, target, GroupElement.sign, r_factor=-1)
 
     def phi_epsilon(self, eps: EpsilonCharacter, a: "HeckeElement") -> "HeckeElement":
         """N_w -> eps(w) N_w into the algebra with parameters eps * k."""
@@ -282,12 +271,7 @@ class HeckeAlgebra:
         admissible = {e.signs for e in self.group.epsilon_characters()}
         if eps.signs not in admissible:
             raise ValueError(f"{eps} is not an admissible sign character")
-        target = self.with_k(self.k.twisted(eps))
-        terms = {}
-        for wi, p in a.terms.items():
-            w = self.group.elements[wi]
-            terms[wi] = p.scale(Fraction(eps(w)))
-        return HeckeElement(target, terms)
+        return self._rescale(a, self.with_k(self.k.twisted(eps)), eps)
 
     def scale_iso(self, z, a: "HeckeElement",
                   target: "HeckeAlgebra | None" = None) -> "HeckeElement":
@@ -305,14 +289,22 @@ class HeckeAlgebra:
             if target is None:
                 target = self.with_k(ParameterFunction(
                     self.group, {b: v / z for b, v in self.k.values.items()}))
+        return self._rescale(a, target, lambda w: 1, x_factor=z)
+
+    def _rescale(self, a: "HeckeElement", target: "HeckeAlgebra", char,
+                 x_factor=1, r_factor=1) -> "HeckeElement":
+        """N_w p(x, r) -> char(w) N_w p(x_factor * x, r_factor * r), in target.
+
+        IM, sgn, phi_eps and the scaling maps are all of this diagonal form.
+        """
+        dim = self.rs.dim
         terms = {}
         for wi, p in a.terms.items():
+            t = char(self.group.elements[wi])
             scaled = {}
             for e, c in p.terms.items():
-                xdeg = sum(e[: self.rs.dim])
-                coeff = c * (z ** xdeg) if xdeg else c
-                if coeff != 0:
-                    scaled[e] = coeff
+                f = t * x_factor ** sum(e[:dim]) * r_factor ** e[-1]
+                scaled[e] = c * f if f != 1 else c
             q = Polynomial(self.nvars, scaled)
             if q:
                 terms[wi] = q

@@ -160,18 +160,12 @@ def projective_resolution_H0(algebra: HeckeAlgebra) -> ChainComplex:
 
     Entries are the degree-two generators x_i and r, so every differential
     matrix is homogeneous of that degree; d . d = 0 holds because the
-    entries commute in H.
+    entries commute in H.  These are all the polynomial variables, in
+    order, so the complex is the Koszul resolution on them.
     """
     if algebra.mode == "r1":
         raise ValueError("the graded resolution needs the generic algebra")
-    nv = algebra.nvars
-    variables = [Polynomial.variable(nv, i) for i in range(algebra.rs.dim)]
-    variables.append(Polynomial.variable(nv, nv - 1))
-    levels, diffs = _koszul_differentials(nv, variables)
-    m = len(variables)
-    complex_ = ChainComplex([comb(m, n) for n in range(m + 1)], diffs, nv)
-    complex_.validate()
-    return complex_
+    return koszul_resolution(algebra.nvars)
 
 
 def degree_zero_action(algebra: HeckeAlgebra, variable_index: int):

@@ -5,15 +5,15 @@ Matrices are lists of lists of field elements (Fraction or Cyc).  Modules,
 the twisted group algebra, homology and the Lie models do all their matrix
 work through the functions here.  `mat_mul` and `mat_sub` use only `*`, `+`,
 `-` and truthiness, so they also serve matrices of `Polynomial` entries.
-Everything else is plain Gaussian elimination with exact division; no
-floating point enters any returned value.  Floats appear only inside
-`rational_roots` as a root-location hint, and every candidate root is
-verified exactly before use.
+Everything else is plain Gaussian elimination with exact division, and no
+floating point is used anywhere: `rational_roots` isolates roots with
+Sturm sequences over the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import frac, poly_divmod, poly_gcd, poly_trim
 
@@ -248,44 +248,66 @@ def squarefree_part(poly):
     return [c / lead for c in quo]
 
 
-def _poly_eval(poly, x):
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
 def rational_roots(poly) -> list[Fraction]:
-    """All rational roots of a rational polynomial, found exactly.
+    """All rational roots of a rational polynomial, exactly and in ascending order.
 
-    Floating-point root locations are used purely as candidates; each
-    candidate is confirmed by exact evaluation and then divided out, so the
-    result is exact and complete (a rational root of the squarefree part is
-    always a simple float root nearby).
+    The squarefree part, cleared to a primitive integer polynomial
+    a_n x^n + ... + a_0, becomes monic under y = a_n x, so its rational
+    roots are integers y.  These are isolated by bisecting the Cauchy
+    interval (-B, B] on integer endpoints with Sturm counts, and each unit
+    interval (t - 1, t] that holds a root is tested at t.
     """
-    import numpy as np
-
     p = squarefree_part(poly)
     if len(p) <= 1:
         return []
+    den = lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    content = gcd(*ints)
+    lead, n = ints[-1] // content, len(ints) - 1
+    monic = [c // content * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    sturm = _sturm_sequence(monic)
+
+    def variations(t):
+        signs = [s for s in (_poly_eval(q, t) for q in sturm) if s]
+        return sum((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
+
     roots: list[Fraction] = []
-    approx = np.roots([float(c) for c in reversed(p)])
-    for a in approx:
-        if abs(a.imag) > 1e-8:
+    bound = 1 + max(abs(c) for c in monic[:-1])
+    # v_lo - v_hi roots lie in (lo, hi]; the left half is popped first
+    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
             continue
-        for denom_cap in (64, 4096, 10 ** 9):
-            cand = Fraction(a.real).limit_denominator(denom_cap)
-            if _poly_eval(p, cand) == 0:
-                if cand not in roots:
-                    roots.append(cand)
-                break
-    # verify completeness by dividing out the found roots
-    rem = p
-    for root in roots:
-        rem, r = poly_divmod(rem, [-root, Fraction(1)])
-        assert not r
-    roots.sort()
+        if hi - lo == 1:
+            if _poly_eval(monic, hi) == 0:
+                roots.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        stack += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
     return roots
+
+
+def _sturm_sequence(p):
+    """Sturm sequence of a squarefree integer polynomial (little-endian).
+
+    Each member is rescaled by a positive rational to integer coefficients,
+    which keeps every sign and lets `_poly_eval` run in integers.
+    """
+    seq = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(seq[-1]) > 1:
+        _, rem = poly_divmod([Fraction(c) for c in seq[-2]], seq[-1])
+        den = lcm(*(c.denominator for c in rem))
+        seq.append([-int(c * den) for c in rem])
+    return seq
+
+
+def _poly_eval(poly, t):
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * t + c
+    return acc
 
 
 def root_multiplicity(poly, root):

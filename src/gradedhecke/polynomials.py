@@ -8,6 +8,12 @@ scalars, and no zero coefficient is ever stored, so `==` is canonical.
 
 The grading doubles the usual one: every variable, x_i and r alike, sits in
 degree 2, so a monomial has degree 2 * (sum of its exponents).
+
+All arithmetic runs on plain term dicts (exponent tuple -> coefficient):
+`_product` is the one multiplication and `_accumulate` the one in-place
+sum, shared by the ring operations, powers, substitution and division.
+Each public operation wraps its result in a single `Polynomial`, and
+substitution and division build no other.
 """
 
 from __future__ import annotations
@@ -70,18 +76,15 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise ValueError("polynomials over different variable bases")
 
+    def _coerce(self, other):
+        if isinstance(other, Polynomial):
+            self._check(other)
+            return other
+        return Polynomial.constant(self.nvars, frac(other) if isinstance(other, (int, str)) else other)
+
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, frac(other) if isinstance(other, (int, str)) else other)
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return Polynomial(self.nvars, terms)
+        other = self._coerce(other)
+        return Polynomial(self.nvars, _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -89,9 +92,9 @@ class Polynomial:
         return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, frac(other) if isinstance(other, (int, str)) else other)
-        return self + (-other)
+        other = self._coerce(other)
+        return Polynomial(self.nvars, _accumulate(
+            dict(self.terms), ((e, -c) for e, c in other.terms.items())))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -100,17 +103,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                s = terms.get(e, 0) + prod
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Polynomial(self.nvars, terms)
+        return Polynomial(self.nvars, _product(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -123,14 +116,10 @@ class Polynomial:
     def __pow__(self, m: int):
         if m < 0:
             raise ValueError("negative polynomial power")
-        out = Polynomial.constant(self.nvars, Fraction(1))
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
+        terms = {(0,) * self.nvars: Fraction(1)}
+        for _ in range(m):
+            terms = _product(terms, self.terms)
+        return Polynomial(self.nvars, terms)
 
     # -- structure -------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -175,32 +164,20 @@ class Polynomial:
     # -- substitution -----------------------------------------------------------
     def substitute_linear(self, images: list["Polynomial"]) -> "Polynomial":
         """Ring map sending var_i to images[i]; images share this basis."""
-        out = Polynomial.zero(self.nvars)
+        out = {}
         for e, c in self.terms.items():
-            mono = Polynomial.constant(self.nvars, c)
-            for i, power in enumerate(e):
-                if power:
-                    mono = mono * images[i] ** power
-            out = out + mono
-        return out
+            mono = {(0,) * self.nvars: c}
+            for image, power in zip(images, e):
+                for _ in range(power):
+                    mono = _product(mono, image.terms)
+            _accumulate(out, mono.items())
+        return Polynomial(self.nvars, out)
 
     def subs_value(self, index: int, value) -> "Polynomial":
         """Substitute an exact scalar for one variable."""
-        terms = {}
-        for e, c in self.terms.items():
-            power = e[index]
-            coeff = c if power == 0 else c * (value ** power)
-            if coeff == 0:
-                continue
-            e2 = list(e)
-            e2[index] = 0
-            e2 = tuple(e2)
-            s = terms.get(e2, 0) + coeff
-            if s == 0:
-                terms.pop(e2, None)
-            else:
-                terms[e2] = s
-        return Polynomial(self.nvars, terms)
+        return Polynomial(self.nvars, _accumulate({}, (
+            (e[:index] + (0,) + e[index + 1:], c * value ** e[index]) if e[index]
+            else (e, c) for e, c in self.terms.items())))
 
     def evaluate(self, point) -> object:
         """Evaluate at a full tuple of scalars (one per variable)."""
@@ -261,35 +238,46 @@ def divide_by_linear(num: Polynomial, alpha: Polynomial) -> Polynomial:
     mean a broken action matrix.
     """
     nvars = num.nvars
-    lin = {e: c for e, c in alpha.terms.items()}
+    lin = alpha.terms
     if any(sum(e) != 1 for e in lin):
         raise ValueError("divisor must be a homogeneous linear form")
-    pivot = None
-    for e, c in sorted(lin.items()):
-        pivot = e.index(1)
-        pivot_coeff = c
-        break
-    if pivot is None:
+    if not lin:
         raise ZeroDivisionError("division by zero form")
+    pivot_expo = min(lin)
+    pivot = pivot_expo.index(1)
+    pivot_coeff = lin[pivot_expo]
     if isinstance(pivot_coeff, int):
         pivot_coeff = Fraction(pivot_coeff)  # int / int would give a float
 
-    quotient_terms: dict[tuple, object] = {}
-    rem = num
-    while rem.terms:
-        # leading term in the pivot variable
-        lead = max(rem.terms, key=lambda e: (e[pivot], e))
+    # Each step removes the leading term in the pivot variable and adds only
+    # terms of lower pivot degree, so the lead strictly decreases and every
+    # quotient exponent is written once.
+    quotient: dict[tuple, object] = {}
+    rem = dict(num.terms)
+    while rem:
+        lead = max(rem, key=lambda e: (e[pivot], e))
         if lead[pivot] == 0:
-            raise ValueError(f"nonzero remainder {rem!r}: division by {alpha!r} not exact")
-        c = rem.terms[lead] / pivot_coeff
-        qe = list(lead)
-        qe[pivot] -= 1
-        qe = tuple(qe)
-        s = quotient_terms.get(qe, 0) + c
+            raise ValueError(f"nonzero remainder {Polynomial(nvars, rem)!r}: "
+                             f"division by {alpha!r} not exact")
+        c = rem[lead] / pivot_coeff
+        qe = lead[:pivot] + (lead[pivot] - 1,) + lead[pivot + 1:]
+        quotient[qe] = c
+        _accumulate(rem, _product({qe: -c}, lin).items())
+    return Polynomial(nvars, quotient)
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Product of two term dicts, as a new term dict without zeros."""
+    return _accumulate({}, ((tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                            for e1, c1 in a.items() for e2, c2 in b.items()))
+
+
+def _accumulate(out: dict, pairs) -> dict:
+    """Add (exponent, coefficient) pairs into the term dict out, dropping zeros."""
+    for e, c in pairs:
+        s = out.get(e, 0) + c
         if s == 0:
-            quotient_terms.pop(qe, None)
+            out.pop(e, None)
         else:
-            quotient_terms[qe] = s
-        piece = Polynomial(nvars, {qe: c}) * alpha
-        rem = rem - piece
-    return Polynomial(nvars, quotient_terms)
+            out[e] = s
+    return out

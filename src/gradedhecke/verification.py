@@ -376,8 +376,6 @@ def suite_tensor(algebra, rng, cases=25) -> SuiteResult:
 def suite_modules(algebra, rng, cases=6) -> SuiteResult:
     """Induced-module weights, the regular-character identity, transport."""
     base = algebra.with_k(algebra.k, mode="r1") if algebra.mode != "r1" else algebra
-    if base.mode != "r1":
-        return SuiteResult("modules", True, "skipped: crossed-product mode")
     if base.cyclotomic_order not in (None, 1):
         return SuiteResult("modules", True, "skipped: cyclotomic parameters")
     table = None
@@ -529,6 +527,8 @@ ALL_SUITES = {
 def run_verification(algebra: HeckeAlgebra, seed: int = 0, cases: int | None = None,
                      suites: list[str] | None = None) -> list[SuiteResult]:
     """Run the named suites (default all) with one seeded generator."""
+    if cases is not None and cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     names = suites or list(ALL_SUITES)
     results = []
     for name in names:

@@ -57,6 +57,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1 and "[FAIL] stub" in out
 
 
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_verify_rejects_fewer_than_one_case(cases, capsys):
+    assert run_cli("verify", "--preset", "A1", "--suites", "associativity",
+                   "--cases", cases) == 2
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert "cases must be at least 1" in captured.err
+
+
+def test_verify_modules_in_crossed_product_mode(capsys):
+    assert run_cli("verify", "--preset", "A1", "--k", "0", "--mode", "k0",
+                   "--suites", "modules") == 0
+    assert capsys.readouterr().out.strip() == "[PASS] modules: 6 induced modules"
+
+
 def test_verify_unknown_suite(capsys):
     assert run_cli("verify", "--preset", "A1", "--suites", "nope") == 2
 

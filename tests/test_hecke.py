@@ -148,6 +148,24 @@ def test_im_and_sgn_pinned():
     assert b2.sgn_involution(a).to_string() == flipped
 
 
+def test_scale_and_phi_epsilon_pinned():
+    b2 = build_preset("B2")
+    a = random_element(b2, random.Random(4), terms=6, max_degree=3)
+    assert a.to_string() == (
+        "N[e]*(-x1*x2*r) + N[s1*s2]*(x1*r + 3) + N[s2*s1]*(-x1^2) + "
+        "N[s1*s2*s1]*(-x1^2) + N[s1*s2*s1*s2]*(-3/2*x1)")
+    assert b2.scale_iso(Fraction(3), a).to_string() == (
+        "N[e]*(-9*x1*x2*r) + N[s1*s2]*(3*x1*r + 3) + N[s2*s1]*(-9*x1^2) + "
+        "N[s1*s2*s1]*(-9*x1^2) + N[s1*s2*s1*s2]*(-9/2*x1)")
+    eps = next(e for e in b2.group.epsilon_characters() if e.signs == (-1, 1))
+    assert b2.phi_epsilon(eps, a).to_string() == (
+        "N[e]*(-x1*x2*r) + N[s1*s2]*(-x1*r - 3) + N[s2*s1]*(x1^2) + "
+        "N[s1*s2*s1]*(-x1^2) + N[s1*s2*s1*s2]*(-3/2*x1)")
+    h0 = build_preset("B2", k=["0", "0"], mode="k0")
+    b = random_element(h0, random.Random(4), terms=6, max_degree=3) + h0.N(1) * h0.r()
+    assert h0.scale_iso(Fraction(0), b).to_string() == "N[s2]*(r) + N[s1*s2]*(3)"
+
+
 def test_sgn_flips_r(A1):
     assert A1.sgn_involution(A1.r()) == A1.r().scale(Fraction(-1))
 

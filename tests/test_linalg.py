@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gradedhecke.linalg import block_matrix, coordinates, identity, mat_mul, mat_pow, \
-    mat_scale, mat_sub, min_poly, nullspace, root_multiplicity, solve, trace
+    mat_scale, mat_sub, min_poly, nullspace, rational_roots, root_multiplicity, solve, \
+    trace
 from gradedhecke.polynomials import Polynomial
+from gradedhecke.scalars import poly_mul
 
 
 def F(rows):
@@ -69,3 +76,43 @@ def test_trace_and_block_matrix():
     assert big[1] == F([[3, 4, 1, 0]])[0]
     assert big[2] == F([[0, 1, 1, 2]])[0]
     assert trace(big) == 2 * trace(a) == 10
+
+
+def _from_roots(roots, lead=Fraction(1)):
+    p = [lead]
+    for root in roots:
+        p = poly_mul(p, [-root, Fraction(1)])
+    return p
+
+
+def test_rational_roots_finds_roots_with_large_denominators():
+    near_zero = Fraction(1, 1000000007)
+    assert rational_roots(_from_roots([near_zero, Fraction(1)])) == [near_zero, Fraction(1)]
+    close = [Fraction(1, 3), Fraction(10000003, 30000000), Fraction(7)]
+    assert rational_roots(_from_roots(close)) == close
+
+
+def test_rational_roots_skips_irrational_and_repeated_roots():
+    # (x^2 - 2)(x^2 + 1)(x + 3/2)^2 (x - 5): only -3/2 and 5 are rational
+    p = poly_mul(poly_mul([Fraction(-2), 0, Fraction(1)], [Fraction(1), 0, Fraction(1)]),
+                 _from_roots([Fraction(-3, 2), Fraction(-3, 2), Fraction(5)], Fraction(-4)))
+    assert rational_roots(p) == [Fraction(-3, 2), Fraction(5)]
+    assert rational_roots([Fraction(0), Fraction(0), Fraction(3)]) == [Fraction(0)]
+    assert rational_roots([Fraction(5)]) == []
+
+
+def test_module_path_imports_no_numpy():
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from gradedhecke.groupalgebra import TwistedGroupAlgebra
+        from gradedhecke.modules import induce_from_character, weight_decomposition
+        from gradedhecke.presets import build_preset
+        b2 = build_preset("B2", mode="r1")
+        assert weight_decomposition(induce_from_character(b2, (Fraction(1), Fraction(3))))
+        TwistedGroupAlgebra(b2.group, b2.cocycle)
+        assert "numpy" not in sys.modules, "numpy was imported"
+    """)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    subprocess.run([sys.executable, "-c", script], cwd=root, env=env, check=True)

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedhecke.polynomials import Polynomial, divide_by_linear
-from gradedhecke.presets import build_preset
+from gradedhecke.presets import PRESETS, algebra_from_config, build_preset
+from gradedhecke.scalars import Cyc
 
 NV = 3  # x1, x2, r
 
@@ -50,6 +52,21 @@ def test_division_exact_and_failing():
     assert q * alpha == num
     with pytest.raises(ValueError):
         divide_by_linear(x(0) * x(0) + Polynomial.constant(NV, Fraction(1)), x(0))
+
+
+def test_power_is_repeated_product():
+    p = x(0) - Polynomial.constant(NV, Fraction(1, 2)) * x(2) + x(1)
+    assert p ** 0 == Polynomial.constant(NV, Fraction(1))
+    assert p ** 1 == p
+    assert p ** 3 == p * p * p
+    with pytest.raises(ValueError):
+        p ** -1
+
+
+def test_subs_value_merges_terms():
+    p = x(0) * x(2) + Polynomial.constant(NV, Fraction(2)) * x(0) + x(2) * x(2)
+    assert p.subs_value(2, Fraction(-2)) == Polynomial.constant(NV, Fraction(4))
+    assert p.subs_value(0, Fraction(0)) == x(2) * x(2)
 
 
 def test_division_stays_exact_on_int_coefficients():
@@ -131,3 +148,60 @@ def test_action_is_ring_automorphism(p, q):
 def test_canonical_string():
     p = 2 * x(0) - x(2) + Polynomial.constant(NV, Fraction(1, 2))
     assert p.to_string(["x1", "x2", "r"]) == "2*x1 - r + 1/2"
+
+
+# --- substitution against the pow-based oracle -----------------------------------
+
+def _substitute_oracle(p, images):
+    """Reference substitution through the public ring operations: one
+    constant per monomial, times images[i] ** power, summed with `+`."""
+    out = Polynomial.zero(p.nvars)
+    for e, c in p.terms.items():
+        mono = Polynomial.constant(p.nvars, c)
+        for i, power in enumerate(e):
+            if power:
+                mono = mono * images[i] ** power
+        out = out + mono
+    return out
+
+
+def _action_images(group, u):
+    """The images of x_1..x_d, r under u, built as act_polynomial builds them."""
+    nv, dim = group.rs.nvars, group.rs.dim
+    m = u.key
+    images = [Polynomial.linear(nv, [Fraction(m[i][j]) for i in range(dim)] + [Fraction(0)])
+              for j in range(dim)]
+    return images + [Polynomial.variable(nv, nv - 1)]
+
+
+def _random_polynomial(rng, nv, coefficient):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        expo = tuple(rng.randint(0, 2) for _ in range(nv - 1)) + (rng.randint(0, 1),)
+        terms[expo] = coefficient(rng)
+    return Polynomial(nv, terms)
+
+
+def _check_against_oracle(algebra, rng, coefficient):
+    group = algebra.group
+    for u in group.elements:
+        images = _action_images(group, u)
+        for _ in range(2):
+            p = _random_polynomial(rng, algebra.nvars, coefficient)
+            assert group.act_polynomial(u, p) == _substitute_oracle(p, images)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_action_matches_pow_oracle_with_fraction_coefficients(name):
+    rng = random.Random(f"oracle-{name}")
+    _check_against_oracle(build_preset(name), rng,
+                          lambda r: Fraction(r.randint(-5, 5) or 1, r.randint(1, 4)))
+
+
+def test_action_matches_pow_oracle_with_cyclotomic_coefficients():
+    b2 = algebra_from_config({"types": [["B", 2]], "k": ["z", "1"],
+                              "cyclotomic_order": 3})
+    rng = random.Random(5)
+    _check_against_oracle(
+        b2, rng, lambda r: Cyc(3, [Fraction(r.randint(-3, 3), r.randint(1, 3)),
+                                   Fraction(r.randint(-3, 3) or 1, r.randint(1, 3))]))

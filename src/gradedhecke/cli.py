@@ -20,7 +20,7 @@ from .lie import CuspidalSupportDescriptor, RootGradedLieAlgebra, build_sl, buil
     build_sp, compute_parameters, f4_ratio_admissible, support_weyl_data
 from .modules import FiniteDimModule, classify_rank_one, weight_decomposition, \
     zeta_rank_one
-from .presets import PRESETS, build_preset, load_algebra_file
+from .presets import PRESETS, build_preset, load_algebra_file, parse_scalar
 from .scalars import scalar_str
 from .verification import ALL_SUITES, run_verification
 
@@ -35,7 +35,6 @@ def _algebra_from_args(args) -> HeckeAlgebra:
         algebra = build_preset(args.preset, k=k, mode=args.mode,
                                gamma=getattr(args, "gamma", None))
     if getattr(args, "cocycle_file", None):
-        from .presets import parse_scalar
         from .weylgroups import Cocycle
 
         with open(args.cocycle_file) as fh:
@@ -185,7 +184,7 @@ def cmd_ext(args) -> int:
     algebra = _algebra_from_args(args)
     if algebra.mode == "generic":
         algebra = algebra.with_k(algebra.k, mode="r1")
-    weight = tuple(Fraction(c) for c in args.weight.split(",")) if args.weight \
+    weight = tuple(parse_scalar(c) for c in args.weight.split(",")) if args.weight \
         else tuple(Fraction(i + 1) for i in range(algebra.rs.dim))
     try:
         table = ext_self_induced(algebra, weight)
@@ -234,6 +233,8 @@ def _structure_constants(algebra: HeckeAlgebra, degree_cap: int):
     """Products of all PBW basis elements up to the polynomial degree cap."""
     from itertools import product as iproduct
 
+    if degree_cap < 0:
+        raise ValueError("degree cap must be at least 0")
     nv = algebra.nvars
     max_var = nv if algebra.mode != "r1" else nv - 1
     monomials = []

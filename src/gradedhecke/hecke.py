@@ -12,6 +12,13 @@ the twisted group law N_u N_v = c(u, v) N_{uv}.  Every element of the group
 carries one cached reduced word, so normal forms are deterministic; that
 different reduced words give the same product is a tested property.
 
+The exchange step is linear in p, so it is memoized per monomial: each
+instance keeps a private dict from (exponent tuple, generator index) to the
+moved monomial and its correction, filled lazily on first use.  A product
+then only looks up and sums scaled rows.  The memo depends on k and the
+mode, so it lives on the instance and is never shared: `with_k` and
+`crossed_product` build new instances, which start with an empty memo.
+
 Modes:
   * "generic" - r is a polynomial variable, the algebra is graded;
   * "r1"      - r specialized to 1, graded only as a filtration;
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import Polynomial, divide_by_linear
+from .polynomials import Polynomial, _accumulate, divide_by_linear
 from .rootdata import RootSystem
 from .weylgroups import Cocycle, EpsilonCharacter, ExtendedWeylGroup, GroupElement, ParameterFunction
 
@@ -60,6 +67,8 @@ class HeckeAlgebra:
         self._simple_polys = [self.rs.root_polynomial(self.rs._simple(i))
                               for i in range(self.rs.rank)]
         self._k_simple = [k(self.rs._simple(i)) for i in range(self.rs.rank)]
+        # (exponent tuple, generator index) -> (moved, corr) term dicts; see _step
+        self._steps: dict[tuple, tuple[dict, dict]] = {}
 
     # -- identity and compatibility ------------------------------------------------
     def compatible(self, other: "HeckeAlgebra") -> bool:
@@ -149,27 +158,46 @@ class HeckeAlgebra:
             return delta.scale(ki)
         return (delta * Polynomial.variable(self.nvars, self._r_index)).scale(ki)
 
-    def _move_poly(self, p: Polynomial, v: GroupElement) -> dict[int, Polynomial]:
-        """Rewrite p * N_v as sum_u N_u q_u; returns {u.index: q_u}."""
+    def _step(self, e: tuple, j: int) -> tuple[dict, dict]:
+        """Compute and memoize the term dicts (moved, corr) of x^e * N_j.
+
+        For a simple reflection, j < rank:  x^e N_{s_j} = N_{s_j} moved + corr,
+        with moved = ^{s_j} x^e and corr = k(alpha_j) r (x^e - moved) / alpha_j.
+        For j = rank + gamma:  x^e N_g = N_g moved, with moved = ^{g^-1} x^e.
+        """
         group = self.group
-        state = {group.identity.index: p}
-        for i in v.word:
-            s = group.simple(i)
-            new: dict[int, Polynomial] = {}
-            for ui, q in state.items():
-                moved = group.act_polynomial(s, q)
-                corr = self._correction(i, q, moved)
-                for ti, piece in ((group.multiply(group.elements[ui], s).index, moved),
-                                  (ui, corr)):
-                    if piece:
-                        new[ti] = new[ti] + piece if ti in new else piece
-            state = {ui: q for ui, q in new.items() if q}
-        if v.gamma:
-            g = group.gamma_element(v.gamma)
-            ginv = group.inverse(g)
-            state = {group.multiply(group.elements[ui], g).index:
-                     group.act_polynomial(ginv, q) for ui, q in state.items()}
-        return {ui: q for ui, q in state.items() if q}
+        mono = Polynomial(self.nvars, {e: Fraction(1)})
+        if j < self.rs.rank:
+            moved = group.act_polynomial(group.simple(j), mono)
+            entry = (moved.terms, self._correction(j, mono, moved).terms)
+        else:
+            ginv = group.inverse(group.gamma_element(j - self.rs.rank))
+            entry = (group.act_polynomial(ginv, mono).terms, {})
+        self._steps[e, j] = entry
+        return entry
+
+    def _move_poly(self, p: Polynomial, v: GroupElement) -> dict[int, Polynomial]:
+        """Rewrite p * N_v as sum_u N_u q_u; returns {u.index: q_u}.
+
+        The exchange step is linear in p, so each letter of v moves p one
+        monomial at a time, looked up in the memo and computed by `_step`
+        only on a miss.
+        """
+        times = self.group._times
+        steps = self._steps
+        letters = v.word + ((self.rs.rank + v.gamma,) if v.gamma else ())
+        state = {self.group.identity.index: p.terms}
+        for j in letters:
+            new: dict[int, dict] = {}
+            for ui, terms in state.items():
+                ti = times[ui][j]
+                for e, c in terms.items():
+                    moved, corr = steps.get((e, j)) or self._step(e, j)
+                    _accumulate(new.setdefault(ti, {}), ((f, c * m) for f, m in moved.items()))
+                    if corr:
+                        _accumulate(new.setdefault(ui, {}), ((f, c * m) for f, m in corr.items()))
+            state = new
+        return {ui: Polynomial(self.nvars, t) for ui, t in state.items() if t}
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement") -> "HeckeElement":
         self._assert_mine(a)

@@ -151,8 +151,16 @@ class RootGradedLieAlgebra:
         """Accept {name: coeff} or a dense list."""
         if isinstance(coords, dict):
             idx = {n: i for i, n in enumerate(self.basis_names)}
-            return {idx[name]: Fraction(c) for name, c in coords.items() if Fraction(c)}
-        return {i: Fraction(c) for i, c in enumerate(coords) if Fraction(c)}
+            unknown = [name for name in coords if name not in idx]
+            if unknown:
+                raise ValueError(f"unknown basis elements: {', '.join(unknown)}")
+            coords = {idx[name]: c for name, c in coords.items()}
+        else:
+            coords = dict(enumerate(coords))
+        try:
+            return {i: Fraction(c) for i, c in coords.items() if Fraction(c)}
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in a coordinate of v") from None
 
     def __repr__(self):
         return f"RootGradedLieAlgebra(dim={self.n})"

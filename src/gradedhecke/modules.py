@@ -235,6 +235,8 @@ def weight_multiset_oracle(algebra: HeckeAlgebra, weight) -> list[tuple]:
 
 def is_regular(algebra: HeckeAlgebra, weight) -> bool:
     pt = tuple(Fraction(c) for c in weight)
+    if len(pt) != algebra.rs.dim:
+        raise ValueError(f"weight needs {algebra.rs.dim} coordinates")
     return all(algebra.group.act_point(w, pt) != pt
                for w in algebra.group.elements if not w.is_identity())
 

@@ -50,7 +50,7 @@ def parse_scalar(text, order=None):
         return Fraction(text) if order in (None, 1) else Cyc(order, [Fraction(text)])
     s = str(text).replace(" ", "")
     if "z" not in s:
-        val = Fraction(s)
+        val = _fraction(s)
         return val if order in (None, 1) else Cyc(order, [val])
     if order in (None, 1):
         raise ValueError(f"cyclotomic scalar {text!r} needs a cyclotomic order")
@@ -60,14 +60,26 @@ def parse_scalar(text, order=None):
         if not m or (m.group(2) is None and "z" not in term):
             raise ValueError(f"cannot parse scalar term {term!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        coeff = _fraction(m.group(2)) if m.group(2) else Fraction(1)
         power = int(m.group(3)) if m.group(3) else (1 if "z" in term else 0)
         coeffs[power % order] += sign * coeff
     return Cyc(order, coeffs)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
+
+
 def algebra_from_config(config: dict) -> HeckeAlgebra:
     """Build an algebra instance from the JSON-style configuration."""
+    if not isinstance(config, dict):
+        raise ValueError("algebra description must be a JSON object")
+    missing = [key for key in ("types", "k") if key not in config]
+    if missing:
+        raise ValueError(f"algebra description lacks {', '.join(map(repr, missing))}")
     types = [(str(t), int(r)) for t, r in config["types"]]
     central = int(config.get("central", 0))
     rs = RootSystem.from_specs(types, central_dim=central)

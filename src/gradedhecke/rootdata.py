@@ -119,7 +119,8 @@ class RootSystem:
         self.dim = rank + central_dim
         self.nvars = self.dim + 1  # polynomial variables: x_1..x_dim, r
         self.components = components or self._detect_components()
-        self._component_index = self._index_components()
+        if sum(c.rank for c in self.components) != rank:
+            raise ValueError("component ranks must sum to the rank")
         self.lengths = self._symmetrize()
         self.roots = self._generate_roots()
         self._root_set = set(self.roots)
@@ -160,15 +161,6 @@ class RootSystem:
                         stack.append(j)
             comps.append(CartanSpec("X", len(block)))
         return comps
-
-    def _index_components(self):
-        idx = [0] * self.rank
-        offset = 0
-        for ci, comp in enumerate(self.components):
-            for i in range(comp.rank):
-                idx[offset + i] = ci
-            offset += comp.rank
-        return idx
 
     def _symmetrize(self):
         """Half-lengths d_i with d_i * C[i][j] = d_j * C[j][i]; B(a_i,a_i) = 2 d_i."""
@@ -386,12 +378,6 @@ class RootSystem:
         return system, coord_map
 
     # -- misc ------------------------------------------------------------------------
-    def component_of_root(self, beta) -> int:
-        for i, c in enumerate(beta):
-            if c:
-                return self._component_index[i]
-        raise ValueError("zero vector is not a root")
-
     def describe(self) -> str:
         parts = [c.label() for c in self.components]
         if self.central_dim:

@@ -256,3 +256,49 @@ def test_classification_export(capsys):
     by_label = {m["label"]: m for m in payload["modules"]}
     assert by_label["Steinberg"]["tempered"]
     assert payload["matching"] == {"Steinberg": "sgn", "pi_0": "triv"}
+
+
+# --- bad input exits 2 with a one-line message ----------------------------------------
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err.strip()
+    assert err and "\n" not in err and "Traceback" not in err
+    return err
+
+
+def test_export_rejects_negative_degree_cap(capsys):
+    assert run_cli("export", "--preset", "B2", "structure", "--degree-cap", "-1") == 2
+    assert "degree cap" in _one_line_error(capsys)
+
+
+def test_ext_rejects_weight_of_wrong_arity(capsys):
+    assert run_cli("ext", "--preset", "B2", "--weight", "1") == 2
+    assert "2 coordinates" in _one_line_error(capsys)
+
+
+def test_ext_rejects_zero_denominator_weight(capsys):
+    assert run_cli("ext", "--preset", "B2", "--weight", "1,1/0") == 2
+    assert "zero denominator" in _one_line_error(capsys)
+
+
+def test_eval_rejects_zero_denominator_parameter(capsys):
+    assert run_cli("eval", "--preset", "A1", "--k", "1/0", "x") == 2
+    assert "zero denominator" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("v, message", [('{"E99": 1}', "E99"),
+                                        ('{"E12": "1/0"}', "zero denominator")])
+def test_params_rejects_bad_nilpotent(v, message, capsys):
+    import pathlib
+
+    fixture = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "sl3_levi.json"
+    assert run_cli("params", str(fixture), "--v", v) == 2
+    assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("config", [{"root_system": "X9"}, {"types": [["A", 1]]}, [1, 2]])
+def test_verify_rejects_incomplete_algebra_file(config, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("verify", "--algebra-file", str(path)) == 2
+    _one_line_error(capsys)

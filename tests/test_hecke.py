@@ -5,8 +5,9 @@ import pytest
 
 from gradedhecke.hecke import HeckeAlgebra
 from gradedhecke.polynomials import Polynomial
-from gradedhecke.presets import build_preset
+from gradedhecke.presets import PRESETS, algebra_from_config, build_preset
 from gradedhecke.rootdata import RootSystem
+from gradedhecke.scalars import Cyc
 from gradedhecke.verification import invariant_polynomials, random_element, \
     random_homogeneous_element
 from gradedhecke.weylgroups import Cocycle, ExtendedWeylGroup, ParameterFunction
@@ -345,3 +346,111 @@ def test_mode_guards():
         H.grading(H.one())
     with pytest.raises(ValueError):
         HeckeAlgebra(H.group, H.k, mode="k0")  # k not zero
+
+
+# --- the memoized exchange step against the unmemoized walk ------------------------------
+
+def _move_poly_oracle(H, p, v):
+    """p * N_v straightened without a memo: act on and divide every state
+    polynomial along the reduced word, then move through the Gamma part."""
+    group = H.group
+    state = {group.identity.index: p}
+    for i in v.word:
+        s = group.simple(i)
+        new = {}
+        for ui, q in state.items():
+            moved = group.act_polynomial(s, q)
+            corr = H._correction(i, q, moved)
+            for ti, piece in ((group.multiply(group.elements[ui], s).index, moved),
+                              (ui, corr)):
+                if piece:
+                    new[ti] = new[ti] + piece if ti in new else piece
+        state = {ui: q for ui, q in new.items() if q}
+    if v.gamma:
+        g = group.gamma_element(v.gamma)
+        ginv = group.inverse(g)
+        state = {group.multiply(group.elements[ui], g).index:
+                 group.act_polynomial(ginv, q) for ui, q in state.items()}
+    return {ui: q for ui, q in state.items() if q}
+
+
+def _random_poly(H, rng, coefficient):
+    r_max = 0 if H.mode == "r1" else 1
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        expo = tuple(rng.randint(0, 2) for _ in range(H.rs.dim)) + (rng.randint(0, r_max),)
+        terms[expo] = coefficient(rng)
+    return Polynomial(H.nvars, terms)
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+
+
+def _check_move_poly(H, rng, coefficient, polys_per_element=2):
+    for v in H.group.elements:
+        for _ in range(polys_per_element):
+            p = _random_poly(H, rng, coefficient)
+            assert H._move_poly(p, v) == _move_poly_oracle(H, p, v)
+
+
+def _in_mode(name, mode):
+    H = build_preset(name, mode="r1" if mode == "r1" else "generic")
+    return H.crossed_product() if mode == "k0" else H
+
+
+@pytest.mark.parametrize("mode", ["generic", "r1", "k0"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_move_poly_matches_unmemoized_walk(name, mode):
+    H = _in_mode(name, mode)
+    _check_move_poly(H, random.Random(f"move-{name}-{mode}"), _fraction)
+    assert H._steps  # the walk above went through the memo
+    if len(H.group.gamma_elements) > 1:
+        assert any(j >= H.rs.rank for _, j in H._steps)
+
+
+@pytest.mark.parametrize("mode", ["generic", "r1", "k0"])
+def test_move_poly_matches_unmemoized_walk_cyclotomic(mode):
+    H = algebra_from_config({"types": [["B", 2]], "k": ["z", "1"],
+                             "cyclotomic_order": 3, "mode": "r1" if mode == "r1" else "generic"})
+    if mode == "k0":
+        H = H.crossed_product()
+
+    def cyc(rng):
+        return Cyc(3, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                       Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))])
+
+    _check_move_poly(H, random.Random(f"move-cyc-{mode}"), cyc)
+
+
+def test_step_memo_starts_cold_on_derived_algebras():
+    H = build_preset("B2")
+    H.x(0) * H.x(1) * H.N((0, 1))
+    assert H._steps
+    derived = [H.with_k(H.k.scaled(Fraction(3))), H.crossed_product()]
+    H1 = build_preset("B2", mode="r1")
+    b = H1.x(0) * H1.N((0, 1, 0))
+    assert H1._steps
+    derived.append(H1.sgn_involution(b).algebra)
+    for D in derived:
+        assert D is not H and D is not H1
+        assert D._steps == {}
+        # a shared memo would have served the parent's corrections here
+        _check_move_poly(D, random.Random(7), _fraction, polys_per_element=1)
+
+
+def test_step_memo_never_serves_a_dropped_algebra():
+    # Algebras with different k are built and dropped in turn, so CPython
+    # hands later ones the ids of earlier ones; a memo keyed by id() would
+    # then serve the corrections of a dropped k.
+    group = build_preset("G2").group
+    rng = random.Random(11)
+    ks = [ParameterFunction.from_simple_values(group, [Fraction(t), Fraction(1, t)])
+          for t in range(1, 9)]
+    cases = [(_random_poly(build_preset("G2"), rng, _fraction), rng.choice(group.elements))
+             for _ in range(4)]
+    for k in ks:
+        H = HeckeAlgebra(group, k)
+        for p, v in cases:
+            assert (H.poly(p) * H.N(v)).terms == _move_poly_oracle(H, p, v)
+        del H

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedhecke.rootdata import RootSystem, cartan_matrix
+from gradedhecke.rootdata import CartanSpec, RootSystem, cartan_matrix
 
 
 def brute_force_root_count(kind, rank):
@@ -116,3 +116,9 @@ def test_from_root_vectors_rejects_asymmetric():
 def test_unsupported_type():
     with pytest.raises(ValueError):
         cartan_matrix("E", 8)
+
+
+@pytest.mark.parametrize("ranks", [[1], [2, 1], [1, 1, 1]])
+def test_component_ranks_must_sum_to_rank(ranks):
+    with pytest.raises(ValueError, match="component ranks"):
+        RootSystem(cartan_matrix("B", 2), components=[CartanSpec("B", r) for r in ranks])

@@ -3,11 +3,18 @@ Exact linear algebra over Q or a cyclotomic field: the one matrix layer.
 
 Matrices are lists of lists of field elements (Fraction or Cyc).  Modules,
 the twisted group algebra, homology and the Lie models do all their matrix
-work through the functions here.  `mat_mul` and `mat_sub` use only `*`, `+`,
-`-` and truthiness, so they also serve matrices of `Polynomial` entries.
-Everything else is plain Gaussian elimination with exact division, and no
-floating point is used anywhere: `rational_roots` isolates roots with
-Sturm sequences over the integers.
+work through the functions here.
+
+The kernels skip zero entries: no product or sum is formed on a zero, and a
+zero entry of an input comes back as it is.  Products cost O(nnz), which
+matters because induced modules have monomial N matrices and triangular x
+matrices.  `mat_mul` takes the zero of its result from one product of the
+entries, and it and `mat_sub` use only `*`, `+`, `-` and truthiness, so they
+also serve matrices of `Polynomial` entries.  `rref` scales and eliminates
+on the nonzero columns of the pivot row only; `min_poly` runs Krylov
+incrementally, reducing each new power against the echelon rows of the
+lower ones.  No floating point is used anywhere: `rational_roots` isolates
+roots with Sturm sequences over the integers.
 """
 
 from __future__ import annotations
@@ -34,42 +41,56 @@ def identity(n, one=Fraction(1), zero=Fraction(0)):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    m = len(b[0]) if b else 0
+    if not a or not m:
+        return [[] for _ in a]
+    zero = a[0][0] * b[0][0]
+    zero = zero - zero
+    # the nonzero entries of each row of b, as (column, entry) pairs
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            s = ai[0] * b[0][j]
-            for t in range(1, k):
-                if ai[t]:
-                    s = s + ai[t] * b[t][j]
-            row.append(s)
-        out.append(row)
+    for ai in a:
+        row = [None] * m
+        for t, x in enumerate(ai):
+            if x:
+                for j, y in sparse_b[t]:
+                    s = row[j]
+                    row[j] = x * y if s is None else s + x * y
+        out.append([zero if s is None else s for s in row])
     return out
 
 
 def mat_vec(a, v):
+    if not a:
+        return []
+    if not v:
+        return [Fraction(0)] * len(a)
+    zero = a[0][0] * v[0]
+    zero = zero - zero
+    sparse_v = [(t, y) for t, y in enumerate(v) if y]
     out = []
     for row in a:
-        s = row[0] * v[0]
-        for t in range(1, len(v)):
-            if row[t]:
-                s = s + row[t] * v[t]
-        out.append(s)
+        s = None
+        for t, y in sparse_v:
+            x = row[t]
+            if x:
+                s = x * y if s is None else s + x * y
+        out.append(zero if s is None else s)
     return out
 
 
 def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y if x and y else x or y for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[(x - y if x else -y) if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
+    return [[c * x if x else x for x in row] for row in a]
 
 
 def mat_pow(a, m):
@@ -99,7 +120,7 @@ def block_matrix(blocks):
 
 
 def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return a == b
 
 
 def rref(matrix):
@@ -113,23 +134,34 @@ def rref(matrix):
     for c in range(ncols):
         pivot = None
         for i in range(r, len(rows)):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        inv = prow[c]
+        # left of c the pivot row is zero: earlier columns are eliminated or empty
+        support = [(j, prow[j] / inv) for j in range(c, ncols) if prow[j]]
+        for j, y in support:
+            prow[j] = y
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                _sub_multiple(row, f, support)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return rows, pivots
+
+
+def _sub_multiple(vec, f, pairs):
+    """vec[j] -= f * y for each (j, y) in pairs, with no sum on a zero vec[j]."""
+    for j, y in pairs:
+        x = vec[j]
+        vec[j] = x - f * y if x else -(f * y)
 
 
 def rank(matrix) -> int:
@@ -200,21 +232,34 @@ def coordinates(basis, vectors):
 # ---------------------------------------------------------------------------
 
 def min_poly(matrix) -> list[Fraction]:
-    """Minimal polynomial (monic, little-endian) via Krylov on the full space."""
+    """Minimal polynomial (monic, little-endian) by incremental Krylov.
+
+    Each power A^d, flattened, is reduced against the echelon rows of
+    I, A, ..., A^(d-1), carrying its coefficients on those powers; the first
+    power that reduces to zero gives the monic relation.
+    """
     n = len(matrix)
     if n == 0:
         return [Fraction(1)]
+    # (pivot, row with 1 at the pivot, its coefficients on the powers), both sparse
+    echelon = []
     power = identity(n)
-    flats = [[power[i][j] for i in range(n) for j in range(n)]]
-    for _ in range(n):
-        power = mat_mul(power, matrix)
-        flats.append([power[i][j] for i in range(n) for j in range(n)])
-        cols = transpose(flats)
-        ker = nullspace(cols)
-        if ker:
-            rel = ker[0]
-            lead = max(i for i, c in enumerate(rel) if c != 0)
-            return [c / rel[lead] for c in rel[: lead + 1]]
+    for d in range(n + 1):
+        if d:
+            power = mat_mul(power, matrix)
+        vec = [x for row in power for x in row]
+        coeffs = [Fraction(0)] * d + [Fraction(1)]
+        for p, row, rc in echelon:
+            f = vec[p]
+            if f:
+                _sub_multiple(vec, f, row)
+                _sub_multiple(coeffs, f, rc)
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is None:
+            return coeffs
+        inv = vec[lead]
+        echelon.append((lead, [(j, x / inv) for j, x in enumerate(vec) if x],
+                        [(k, x / inv) for k, x in enumerate(coeffs) if x]))
     raise AssertionError("minimal polynomial must appear by degree n")
 
 
@@ -311,7 +356,12 @@ def _poly_eval(poly, t):
 
 
 def root_multiplicity(poly, root):
-    """(m, q) with poly = (x - root)^m * q and q(root) != 0; little-endian lists."""
+    """(m, q) with poly = (x - root)^m * q and q(root) != 0; little-endian lists.
+
+    Raises ValueError on the zero polynomial, which every root divides.
+    """
+    if not any(poly):
+        raise ValueError("the zero polynomial has no root multiplicity")
     m = 0
     while True:
         quo, rem = poly_divmod(poly, [-root, Fraction(1)])

@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from gradedhecke.modules import FiniteDimModule, classify_rank_one, \
     induce_from_character, is_essentially_discrete_series, is_regular, is_tempered, \
     restrict_to_group_algebra, weight_decomposition, weight_multiset_oracle, \
     zeta_rank_one
-from gradedhecke.presets import build_preset
+from gradedhecke.presets import PRESETS, build_preset
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,59 @@ def test_scalar_module_weights(A1):
 def test_relation_validation_catches_errors(A1):
     with pytest.raises(ValueError):
         FiniteDimModule(A1, [[[Fraction(5)]]], {("s", 0): [[Fraction(-1)]]})
+
+
+def _perturbed(module, key, row, col):
+    """A copy of `module` with one entry of an x or N matrix raised by 1, unvalidated."""
+    x = [[list(r) for r in m] for m in module.x]
+    gens = {k: [list(r) for r in m] for k, m in module.generators.items()}
+    target = x[key] if isinstance(key, int) else gens[key]
+    target[row][col] += 1
+    return FiniteDimModule(module.algebra, x, gens, module.r_value, validate=False)
+
+
+@pytest.mark.parametrize("key, families", [
+    (0, ["do not commute", "braid relation fails"]),
+    (("s", 0), ["braid relation fails", "group law fails"]),
+    (("s", 1), ["braid relation fails", "group law fails"]),
+])
+def test_validate_catches_each_relation_family_b2(key, families):
+    B2 = build_preset("B2", mode="r1")
+    mod = induce_from_character(B2, (Fraction(1), Fraction(3)))
+    assert mod.validate() == []
+    bad = _perturbed(mod, key, 2, 5)
+    problems = bad.validate()
+    for family in families:
+        assert any(family in p for p in problems), (family, problems)
+    with pytest.raises(ValueError, match="module relations fail"):
+        FiniteDimModule(B2, bad.x, bad.generators)
+
+
+def test_validate_catches_gamma_conjugation_a2flip_tw():
+    H = build_preset("A2flip-tw", mode="r1")
+    mod = induce_from_character(H, (Fraction(1), Fraction(4)))
+    assert mod.validate() == []
+    problems = _perturbed(mod, ("g", 1), 0, 1).validate()
+    assert any("gamma conjugation fails" in p for p in problems), problems
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_induced_x_matrices_are_triangular_with_the_orbit_on_the_diagonal(name):
+    """A cross-check of weight_decomposition's inputs, not a shortcut in it."""
+    H = build_preset(name, mode="r1")
+    rng = random.Random(zlib.crc32(name.encode()))
+    found = 0
+    while found < 2:
+        lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(H.rs.dim))
+        if not is_regular(H, lam):
+            continue
+        found += 1
+        mod = induce_from_character(H, lam)
+        n = mod.dim
+        for x in mod.x:
+            assert all(x[i][j] == 0 for i in range(n) for j in range(i))
+        diagonal = sorted(tuple(x[i][i] for x in mod.x) for i in range(n))
+        assert diagonal == weight_multiset_oracle(H, lam)
 
 
 def test_temperedness(A1):

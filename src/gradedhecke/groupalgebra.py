@@ -1,13 +1,17 @@
 """
 Exact decomposition of twisted group algebras C[W x| Gamma, natural].
 
-The centre is computed as an exact nullspace, then split into its primitive
-idempotents over Q by repeatedly extracting rational eigenvalues of
-multiplication operators.  Each resulting block is a matrix algebra over a
-number field; blocks of field degree g > 1 package g Galois-conjugate
-complex irreducibles that share every rational multiplicity, which is all
-the restriction functor ever needs here.  Block data: idempotent, field
-degree g, matrix size d, with trace_regular(e) = g * d^2.
+The centre Z is computed as an exact nullspace.  Its multiplication
+operators, one per centre basis vector, are m x m matrices; starting from
+all of Z, `linalg.split_space` cuts every piece along each operator in turn
+into the generalized eigenspaces of its rational eigenvalues and one piece
+for the rest.  Every final piece is an ideal Z e, and its idempotent e is
+the component of 1 in it.  Each such block is a matrix algebra over a
+number field of degree g = dim Z e; blocks with g > 1 package g
+Galois-conjugate complex irreducibles that share every rational
+multiplicity, which is all the restriction functor ever needs here.  Block
+data: idempotent, field degree g, matrix size d, with
+trace_regular(e) = g * d^2.
 
 The group-size cap keeps everything comfortably exact.
 """
@@ -18,10 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import coordinates, mat_mul, min_poly, nullspace, rational_roots, \
-    root_multiplicity, rref, trace, transpose
-from .scalars import poly_ext_gcd, poly_mul, poly_trim
-from .weylgroups import Cocycle, ExtendedWeylGroup, GroupElement
+from .linalg import coordinates, identity, mat_mul, nullspace, split_space, trace, transpose
+from .weylgroups import Cocycle, ExtendedWeylGroup
 
 __all__ = ["TwistedGroupAlgebra", "IrreducibleBlock"]
 
@@ -58,8 +60,7 @@ class TwistedGroupAlgebra:
         self.n = len(group)
         self._mult = self._multiplication_table()
         self.center = self._center_basis()
-        self._center_products = self._center_structure()
-        self.blocks = self._split_blocks()
+        self.blocks = self._split_blocks(self._center_operators())
         self._label_blocks()
 
     # -- structure ------------------------------------------------------------------
@@ -106,35 +107,32 @@ class TwistedGroupAlgebra:
             rows.extend(m)
         return nullspace(rows)
 
-    def _center_structure(self):
-        """Products of centre basis vectors, expanded back in that basis."""
+    def _center_operators(self):
+        """Multiplication by each centre basis vector, on centre coordinates."""
         basis = self.center
-        pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
-        prods = coordinates(basis, [self.product_vector(basis[i], basis[j])
-                                    for i, j in pairs])
-        return dict(zip(pairs, prods))
+        m = len(basis)
+        prods = coordinates(basis, [self.product_vector(a, b) for a in basis for b in basis])
+        # column j of operator i: the coordinates of z_i z_j
+        return [transpose(prods[i * m:(i + 1) * m]) for i in range(m)]
 
-    def _split_blocks(self):
-        m = len(self.center)
-        # identity of the algebra in centre coordinates
-        one, = coordinates(self.center, [_basis_vector(self.n, self.group.identity.index)])
-
-        idempotents = [one]
-        for basis_index in range(m):
-            direction = [Fraction(0)] * m
-            direction[basis_index] = Fraction(1)
-            refined = []
-            for e in idempotents:
-                refined.extend(self._refine(e, direction))
-            idempotents = refined
+    def _split_blocks(self, operators):
+        pieces = [identity(len(self.center))]
+        for op in operators:
+            pieces = [rows for piece in pieces for _, rows in split_space(op, piece)]
+        # each piece is an ideal Z e; e is the component of 1 in it
+        ideals = [mat_mul(rows, self.center) for rows in pieces]
+        one, = coordinates([v for ideal in ideals for v in ideal],
+                           [_basis_vector(self.n, self.group.identity.index)])
         blocks = []
-        for e in idempotents:
-            gdeg = self._block_field_degree(e)
+        start = 0
+        for ideal in ideals:
+            gdeg = len(ideal)
             if gdeg > 3:
                 raise ValueError(
                     "a block requires splitting a number field of degree > 3; "
                     "outside the supported twisted-character scope")
-            vec = self._center_to_vector(e)
+            vec = mat_mul([one[start:start + gdeg]], ideal)[0]
+            start += gdeg
             tr = self.n * vec[self.group.identity.index]
             d2 = Fraction(tr, gdeg)
             d = _exact_sqrt(d2)
@@ -145,76 +143,6 @@ class TwistedGroupAlgebra:
             IrreducibleBlock(index=i, idempotent=vec, field_degree=g, dim=d,
                              character={})
             for i, (g, d, vec) in enumerate(blocks)]
-
-    def _refine(self, e, direction):
-        """Split the idempotent e along rational eigenvalues of mult-by-z."""
-        sub = self._sub_basis(e)
-        if len(sub) <= 1:
-            return [e]
-        op = transpose(coordinates(sub, [self._center_multiply(direction, v) for v in sub]))
-        mp = min_poly(op)
-        roots = rational_roots(mp)
-        if not roots:
-            return [e]
-        # primary decomposition along (x - root)^mult and the co-prime rest
-        factors = []
-        rest = mp
-        for root in roots:
-            mult, rest = root_multiplicity(rest, root)
-            factors.append(_poly_product([[-root, Fraction(1)]] * mult))
-        if len(rest) > 1:
-            factors.append(rest)
-        if len(factors) <= 1:
-            return [e]
-        out = []
-        for f in factors:
-            co = poly_trim(list(_poly_product([g for g in factors if g is not f])))
-            g, u, v = poly_ext_gcd(f, co)
-            assert len(g) == 1, "primary factors must be coprime"
-            # idempotent for this factor: (v * co)(z) applied to e
-            proj_poly = poly_mul(v, co)
-            out.append(self._apply_center_poly(proj_poly, direction, e))
-        return [o for o in out if any(c != 0 for c in o)]
-
-    def _sub_basis(self, e):
-        """Basis of Z * e inside the centre coordinates."""
-        m = len(self.center)
-        vecs = []
-        for i in range(m):
-            direction = [Fraction(0)] * m
-            direction[i] = Fraction(1)
-            vecs.append(self._center_multiply(direction, e))
-        rows, pivots = _row_space(vecs)
-        return rows
-
-    def _center_multiply(self, a, b):
-        m = len(self.center)
-        out = [Fraction(0)] * m
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    col = self._center_products[i, j]
-                    for t in range(m):
-                        out[t] += ca * cb * col[t]
-        return out
-
-    def _apply_center_poly(self, poly, direction, e):
-        """p(z) * e evaluated inside the centre, z = the direction element."""
-        acc = [Fraction(0)] * len(self.center)
-        power = e
-        for c in poly:
-            if c:
-                acc = [a + c * p for a, p in zip(acc, power)]
-            power = self._center_multiply(direction, power)
-        return acc
-
-    def _block_field_degree(self, e):
-        return len(self._sub_basis(e))
-
-    def _center_to_vector(self, coeffs):
-        return mat_mul([coeffs], self.center)[0]
 
     # -- characters and multiplicities --------------------------------------------------
     def _label_blocks(self):
@@ -259,20 +187,6 @@ def _basis_vector(n, i):
     v = [Fraction(0)] * n
     v[i] = Fraction(1)
     return v
-
-
-def _poly_product(ps):
-    out = [Fraction(1)]
-    for p in ps:
-        out = poly_mul(out, p)
-    return out
-
-
-def _row_space(vectors):
-    """Independent spanning subset (as rref rows) of a list of vectors."""
-    rows, pivots = rref([list(v) for v in vectors])
-    rows = [r for r in rows if any(c != 0 for c in r)]
-    return rows, pivots
 
 
 def _exact_sqrt(x: Fraction) -> int:

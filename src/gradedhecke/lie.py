@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import identity, mat_mul, mat_sub, nullspace, rank, rref, solve, transpose
+from .linalg import coordinates, identity, mat_mul, mat_sub, nullspace, rref, transpose
 from .rootdata import RootSystem
 from .weylgroups import ExtendedWeylGroup, ParameterFunction
 
@@ -84,13 +84,7 @@ class RootGradedLieAlgebra:
         return [[cols[j][i] for j in range(self.n)] for i in range(self.n)]
 
     def is_nilpotent(self, v: dict[int, Fraction]) -> bool:
-        m = self.ad_matrix(v)
-        power = m
-        for _ in range(self.n + 1):
-            if all(all(x == 0 for x in row) for row in power):
-                return True
-            power = mat_mul(power, m)
-        return False
+        return _nilpotency_degree(self.ad_matrix(v)) is not None
 
     def in_levi_subalgebra(self, v: dict[int, Fraction]) -> bool:
         return all(self.in_levi[i] for i, c in v.items() if c)
@@ -202,6 +196,8 @@ def compute_parameters(L: RootGradedLieAlgebra, v) -> dict[tuple, int]:
     for alpha, idxs in spaces.items():
         m = _ad_on_span(L, vvec, idxs)
         degree = _nilpotency_degree(m)
+        if degree is None:
+            raise ValueError("operator is not nilpotent on the root space")
         if degree > len(idxs):
             raise AssertionError("nilpotency degree exceeds the space dimension")
         values[alpha] = degree + 1
@@ -223,15 +219,14 @@ def _ad_on_span(L, vvec, idxs):
     return transpose(cols)
 
 
-def _nilpotency_degree(m) -> int:
-    """Smallest e with m^e = 0; raises if m is not nilpotent."""
-    size = len(m)
-    power = identity(size)
-    for e in range(size + 1):
+def _nilpotency_degree(m) -> int | None:
+    """Smallest e with m^e = 0, or None when m is not nilpotent."""
+    power = identity(len(m))
+    for e in range(len(m) + 1):
         if all(all(x == 0 for x in row) for row in power):
             return e
         power = mat_mul(power, m)
-    raise ValueError("operator is not nilpotent on the root space")
+    return None
 
 
 def _check_invariance(values: dict[tuple, int]):
@@ -401,23 +396,18 @@ def _from_matrices(n, named_mats, levi_blocks) -> RootGradedLieAlgebra:
     mats = [m for _, m in named_mats]
     dim = len(mats)
 
-    # expansion of arbitrary matrices in this basis
-    cols = [[m[i][j] for m in mats] for i in range(n) for j in range(n)]
-
-    def expand(m):
-        flat = [m[i][j] for i in range(n) for j in range(n)]
-        sol = solve(cols, flat)
-        if sol is None:
-            raise ValueError("bracket left the span of the basis")
-        return {i: c for i, c in enumerate(sol) if c}
-
+    # every bracket of two basis matrices, expanded in the basis by one rref
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    flat = [[x for row in _commutator(mats[i], mats[j]) for x in row] for i, j in pairs]
+    try:
+        expansions = coordinates([[x for row in m for x in row] for m in mats], flat)
+    except ValueError:
+        raise ValueError("bracket left the span of the basis") from None
     brackets = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = _commutator(mats[i], mats[j])
-            exp = expand(comm)
-            if exp:
-                brackets[i, j] = exp
+    for pair, sol in zip(pairs, expansions):
+        exp = {t: c for t, c in enumerate(sol) if c}
+        if exp:
+            brackets[pair] = exp
 
     # the torus: diagonal matrices in g commuting with every block matrix
     block_of = []

@@ -15,6 +15,11 @@ on the nonzero columns of the pivot row only; `min_poly` runs Krylov
 incrementally, reducing each new power against the echelon rows of the
 lower ones.  No floating point is used anywhere: `rational_roots` isolates
 roots with Sturm sequences over the integers.
+
+`split_space` is the one eigenspace splitter: it restricts an operator to an
+invariant row span and cuts the span into the generalized eigenspaces of its
+rational eigenvalues, plus one piece for the rest.  Module weights and the
+blocks of the twisted group algebra both come from it.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from .scalars import frac, poly_divmod, poly_gcd, poly_trim
 
 __all__ = [
     "mat_mul", "mat_vec", "mat_add", "mat_scale", "mat_sub", "identity",
-    "zero_matrix", "transpose", "trace", "block_matrix", "mat_eq", "mat_pow",
-    "rref", "rank", "nullspace", "solve", "coordinates", "min_poly",
-    "char_poly", "rational_roots", "root_multiplicity", "squarefree_part",
+    "zero_matrix", "transpose", "trace", "block_matrix", "mat_pow", "rref",
+    "rank", "nullspace", "coordinates", "min_poly", "char_poly",
+    "rational_roots", "root_multiplicity", "squarefree_part", "split_space",
 ]
 
 
@@ -119,10 +124,6 @@ def block_matrix(blocks):
             for brow in blocks for a in range(len(brow[0]))]
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def rref(matrix):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     rows = [list(r) for r in matrix]
@@ -188,27 +189,11 @@ def nullspace(matrix):
     return basis
 
 
-def solve(matrix, rhs):
-    """One solution of A x = b, or None if inconsistent."""
-    if not matrix:
-        return [] if all(x == 0 for x in rhs) else None
-    ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][ncols]
-    return x
-
-
 def coordinates(basis, vectors):
     """Coordinates of each vector in the span of the rows `basis`, from one rref.
 
     Returns one coordinate list per vector; a dependent basis gets 0 on its
-    redundant rows, as `solve` would.  Raises ValueError when a vector lies
-    outside the span.
+    redundant rows.  Raises ValueError when a vector lies outside the span.
     """
     if not vectors:
         return []
@@ -369,3 +354,31 @@ def root_multiplicity(poly, root):
             return m, poly
         poly = quo
         m += 1
+
+
+def split_space(op, basis):
+    """Split the op-invariant row span `basis` along the rational eigenvalues of op.
+
+    Returns (lam, rows) for each rational eigenvalue lam of op on the span,
+    in ascending order, with rows a basis of ker (op - lam)^m there, m the
+    multiplicity of lam in the minimal polynomial.  When these do not fill
+    the span, one last piece (None, rows) follows: the image of the product
+    of the (op - lam)^m, which is the sum of the remaining generalized
+    eigenspaces.  op acts on a row v as `mat_vec(op, v)`.
+    """
+    restricted = transpose(coordinates(basis, [mat_vec(op, v) for v in basis]))
+    mp = min_poly(restricted)
+    eye = identity(len(basis))
+    pieces, powers = [], []
+    for lam in rational_roots(mp):
+        m, _ = root_multiplicity(mp, lam)
+        power = mat_pow(mat_sub(restricted, mat_scale(eye, lam)), m)
+        pieces.append((lam, mat_mul(nullspace(power), basis)))
+        powers.append(power)
+    if sum(len(rows) for _, rows in pieces) < len(basis):
+        image = eye
+        for power in powers:
+            image = mat_mul(image, power)
+        rows, pivots = rref(transpose(image))
+        pieces.append((None, mat_mul(rows[:len(pivots)], basis)))
+    return pieces

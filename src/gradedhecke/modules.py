@@ -22,9 +22,8 @@ from fractions import Fraction
 
 from .groupalgebra import TwistedGroupAlgebra
 from .hecke import HeckeAlgebra
-from .linalg import char_poly, coordinates, identity, mat_add, mat_eq, mat_mul, mat_pow, \
-    mat_scale, mat_sub, mat_vec, min_poly, nullspace, rational_roots, root_multiplicity, \
-    transpose, zero_matrix
+from .linalg import char_poly, coordinates, identity, mat_add, mat_mul, mat_scale, mat_sub, \
+    mat_vec, nullspace, split_space, transpose, zero_matrix
 from .polynomials import Polynomial
 
 __all__ = [
@@ -115,7 +114,7 @@ class FiniteDimModule:
         # commuting coordinates
         for i in range(d):
             for j in range(i + 1, d):
-                if not mat_eq(mat_mul(self.x[i], self.x[j]), mat_mul(self.x[j], self.x[i])):
+                if mat_mul(self.x[i], self.x[j]) != mat_mul(self.x[j], self.x[i]):
                     problems.append(f"x{i + 1} and x{j + 1} do not commute")
         # braid relation  N_s X(xi) - X(^s xi) N_s = k r X(Demazure xi)
         for i in range(rs.rank):
@@ -129,7 +128,7 @@ class FiniteDimModule:
                 delta = alg._demazure(i, xi)  # a constant for linear xi
                 corr = mat_scale(identity(self.dim),
                                  alg._k_simple[i] * self.r_value * delta.constant_term())
-                if not mat_eq(lhs, mat_add(rhs, corr)):
+                if lhs != mat_add(rhs, corr):
                     problems.append(f"braid relation fails for s{i + 1}, x{j + 1}")
         # Gamma conjugation: N_g X(xi) = X(^g xi) N_g
         for gi in range(1, len(alg.group.gamma_elements)):
@@ -139,7 +138,7 @@ class FiniteDimModule:
                 xi = Polynomial.variable(alg.nvars, j)
                 lhs = mat_mul(ng, self.x[j])
                 rhs = mat_mul(self.linear_poly_matrix(alg.group.act_polynomial(g, xi)), ng)
-                if not mat_eq(lhs, rhs):
+                if lhs != rhs:
                     problems.append(f"gamma conjugation fails for g{gi}, x{j + 1}")
         # twisted group law, on generator * element pairs
         gens = [alg.group.simple(i) for i in range(rs.rank)]
@@ -154,7 +153,7 @@ class FiniteDimModule:
                 w = alg.group.multiply(g, v)
                 c = alg.cocycle.value(g, v)
                 target = mat_scale(self.group_matrix(w), c)
-                if not mat_eq(mat_mul(mg, mv), target):
+                if mat_mul(mg, mv) != target:
                     problems.append(f"group law fails at {g!r} * {v!r}")
                     break
         return problems
@@ -256,25 +255,13 @@ def weight_decomposition(module: FiniteDimModule) -> list[WeightDatum]:
     for xi in module.x:
         new_spaces = []
         for basis, partial in spaces:
-            op = transpose(coordinates(basis, [mat_vec(xi, v) for v in basis]))
-            mp = min_poly(op)
-            eigs = rational_roots(mp)
-            dim_found = 0
-            pieces = []
-            for lam in eigs:
-                # the generalized eigenspace is the kernel of (op - lam)^m, m the
-                # multiplicity of lam in the minimal polynomial
-                m, _ = root_multiplicity(mp, lam)
-                shifted = mat_sub(op, mat_scale(identity(len(op)), lam))
-                sub = mat_mul(nullspace(mat_pow(shifted, m)), basis)
-                dim_found += len(sub)
-                pieces.append((sub, partial + (lam,)))
-            if dim_found != len(basis):
-                cp = char_poly(op)
-                raise ValueError(
-                    "irrational weight detected; characteristic polynomial "
-                    f"coefficients {[str(c) for c in cp]}")
-            new_spaces.extend(pieces)
+            for lam, sub in split_space(xi, basis):
+                if lam is None:
+                    op = transpose(coordinates(basis, [mat_vec(xi, v) for v in basis]))
+                    raise ValueError(
+                        "irrational weight detected; characteristic polynomial "
+                        f"coefficients {[str(c) for c in char_poly(op)]}")
+                new_spaces.append((sub, partial + (lam,)))
         spaces = new_spaces
     out: dict[tuple, int] = {}
     for basis, weight in spaces:

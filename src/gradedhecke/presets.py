@@ -1,5 +1,5 @@
 """
-Named algebra presets and JSON serialization of the input data.
+Named algebra presets and the JSON description of an algebra.
 
 Preset JSON schema (also accepted via --algebra-file):
 
@@ -25,11 +25,11 @@ from fractions import Fraction
 
 from .hecke import HeckeAlgebra
 from .rootdata import RootSystem
-from .scalars import Cyc, scalar_str
+from .scalars import Cyc
 from .weylgroups import Cocycle, ExtendedWeylGroup, ParameterFunction
 
 __all__ = ["PRESETS", "build_preset", "algebra_from_config", "parse_scalar",
-           "algebra_config_json", "load_algebra_file"]
+           "load_algebra_file"]
 
 PRESETS = {
     "A1": {"types": [["A", 1]], "k": ["1"]},
@@ -112,24 +112,6 @@ def build_preset(name: str, k=None, mode="generic", gamma=None) -> HeckeAlgebra:
         config["gamma"] = gamma
     config["mode"] = mode
     return algebra_from_config(config)
-
-
-def algebra_config_json(algebra: HeckeAlgebra) -> dict:
-    """Round-trippable configuration of an algebra instance."""
-    out = {
-        "types": [[c.kind, c.rank] for c in algebra.rs.components],
-        "central": algebra.rs.central_dim,
-        "k": [scalar_str(v) for v in algebra.k.simple_values()],
-        "mode": algebra.mode,
-    }
-    gammas = algebra.group.gamma_elements
-    if len(gammas) > 1:
-        out["gamma"] = [list(g) for g in gammas[1:]]
-        out["cocycle"] = [[scalar_str(v) for v in row]
-                          for row in algebra.cocycle.table]
-    if algebra.cyclotomic_order:
-        out["cyclotomic_order"] = algebra.cyclotomic_order
-    return out
 
 
 def load_algebra_file(path: str) -> HeckeAlgebra:

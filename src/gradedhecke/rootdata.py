@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import solve
+from .linalg import coordinates
 from .polynomials import Polynomial
 
 __all__ = ["RootSystem", "CartanSpec", "cartan_matrix", "ConePosition"]
@@ -282,14 +282,9 @@ class RootSystem:
         if len(point) != self.dim:
             raise ValueError(f"point has {len(point)} coordinates, want {self.dim}")
         root_part = [Fraction(c) for c in point[: self.rank]]
-        if self.rank:
-            # alpha_i(sum_j t_j alpha_j^vee) = sum_j t_j <alpha_i, alpha_j^vee>
-            mat = [[Fraction(self.cartan[j][i]) for j in range(self.rank)]
-                   for i in range(self.rank)]
-            coeffs = solve(mat, root_part)
-            assert coeffs is not None, "Cartan matrix is invertible"
-        else:
-            coeffs = []
+        # alpha_i(sum_j t_j alpha_j^vee) = sum_j t_j <alpha_i, alpha_j^vee>
+        coeffs, = coordinates([[Fraction(c) for c in row] for row in self.cartan],
+                              [root_part])
         return ConePosition(tuple(coeffs), tuple(Fraction(c) for c in point[self.rank:]))
 
     def in_obtuse_negative_cone(self, point) -> tuple[bool, bool]:

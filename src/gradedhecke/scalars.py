@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Fraction", "frac", "Cyc", "as_scalar", "scalar_str", "cyclotomic_poly"]
+__all__ = ["Fraction", "frac", "Cyc", "scalar_str", "cyclotomic_poly"]
 
 
 def frac(x) -> Fraction:
@@ -267,22 +267,6 @@ class Cyc:
         return scalar_str(self)
 
 
-def as_scalar(value, order: int | None = None):
-    """Lift a number to the scalar field of a given cyclotomic order.
-
-    Order None or 1 means plain rationals.
-    """
-    if order is None or order == 1:
-        if isinstance(value, Cyc):
-            return value.rational_value()
-        return frac(value)
-    if isinstance(value, Cyc):
-        if value.order != order:
-            raise ValueError(f"scalar of order {value.order}, expected {order}")
-        return value
-    return Cyc(order, [frac(value)])
-
-
 def scalar_str(value) -> str:
     """Canonical text form: rationals as 'p/q', cyclotomics on powers of z."""
     if isinstance(value, (int, Fraction)):
@@ -306,8 +290,3 @@ def scalar_str(value) -> str:
         return "+".join(parts).replace("+-", "-")
     raise TypeError(f"not a scalar: {value!r}")
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

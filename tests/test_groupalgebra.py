@@ -36,8 +36,9 @@ def test_twisted_blocks_pair_up():
     assert sum(b.field_degree * b.dim ** 2 for b in table.blocks) == 12
 
 
-def test_idempotents_orthogonal_and_complete():
-    table = table_for("B2")
+@pytest.mark.parametrize("preset", ["B2", "G2", "A2flip-tw", "A1xA1swap"])
+def test_idempotents_orthogonal_and_complete(preset):
+    table = table_for(preset)
     n = table.n
     total = [Fraction(0)] * n
     for b in table.blocks:
@@ -81,3 +82,68 @@ def test_cap_enforced():
     g = ExtendedWeylGroup(rs)
     with pytest.raises(ValueError):
         TwistedGroupAlgebra(g, Cocycle(g))
+
+
+# (label, field degree g, dim d, idempotent on the N_w basis) of every block, in
+# block order, for each preset in r1 mode
+PINNED_BLOCKS = {
+    "A1": [
+        ("sgn", 1, 1, "1/2 -1/2"),
+        ("triv", 1, 1, "1/2 1/2"),
+    ],
+    "A2": [
+        ("sgn", 1, 1, "1/6 -1/6 -1/6 1/6 1/6 -1/6"),
+        ("triv", 1, 1, "1/6 1/6 1/6 1/6 1/6 1/6"),
+        ("chi2[d=2]", 1, 2, "2/3 0 0 -1/3 -1/3 0"),
+    ],
+    "B2": [
+        ("sgn", 1, 1, "1/8 -1/8 -1/8 1/8 1/8 -1/8 -1/8 1/8"),
+        ("chi1[d=1]", 1, 1, "1/8 -1/8 1/8 -1/8 -1/8 1/8 -1/8 1/8"),
+        ("chi2[d=1]", 1, 1, "1/8 1/8 -1/8 -1/8 -1/8 -1/8 1/8 1/8"),
+        ("triv", 1, 1, "1/8 1/8 1/8 1/8 1/8 1/8 1/8 1/8"),
+        ("chi4[d=2]", 1, 2, "1/2 0 0 0 0 0 0 -1/2"),
+    ],
+    "G2": [
+        ("sgn", 1, 1, "1/12 -1/12 -1/12 1/12 1/12 -1/12 -1/12 1/12 1/12 -1/12 -1/12 1/12"),
+        ("chi1[d=1]", 1, 1, "1/12 -1/12 1/12 -1/12 -1/12 1/12 -1/12 1/12 1/12 -1/12 1/12 -1/12"),
+        ("chi2[d=1]", 1, 1, "1/12 1/12 -1/12 -1/12 -1/12 -1/12 1/12 1/12 1/12 1/12 -1/12 -1/12"),
+        ("triv", 1, 1, "1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12"),
+        ("chi4[d=2]", 1, 2, "1/3 0 0 -1/6 -1/6 0 0 -1/6 -1/6 0 0 1/3"),
+        ("chi5[d=2]", 1, 2, "1/3 0 0 1/6 1/6 0 0 -1/6 -1/6 0 0 -1/3"),
+    ],
+    "A1xA1": [
+        ("sgn", 1, 1, "1/4 -1/4 -1/4 1/4"),
+        ("chi1[d=1]", 1, 1, "1/4 -1/4 1/4 -1/4"),
+        ("chi2[d=1]", 1, 1, "1/4 1/4 -1/4 -1/4"),
+        ("triv", 1, 1, "1/4 1/4 1/4 1/4"),
+    ],
+    "A2flip": [
+        ("chi0[d=1]", 1, 1, "1/12 -1/12 -1/12 1/12 -1/12 1/12 1/12 -1/12 1/12 -1/12 -1/12 1/12"),
+        ("chi1[d=1]", 1, 1, "1/12 -1/12 1/12 -1/12 1/12 -1/12 1/12 -1/12 1/12 -1/12 1/12 -1/12"),
+        ("sgn", 1, 1, "1/12 1/12 -1/12 -1/12 -1/12 -1/12 1/12 1/12 1/12 1/12 -1/12 -1/12"),
+        ("triv", 1, 1, "1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12"),
+        ("chi4[d=2]", 1, 2, "1/3 0 0 -1/6 0 -1/6 -1/6 0 -1/6 0 0 1/3"),
+        ("chi5[d=2]", 1, 2, "1/3 0 0 1/6 0 1/6 -1/6 0 -1/6 0 0 -1/3"),
+    ],
+    "A2flip-tw": [
+        ("chi0[d=1](x2)", 2, 1, "1/6 0 -1/6 0 -1/6 0 1/6 0 1/6 0 -1/6 0"),
+        ("chi1[d=1](x2)", 2, 1, "1/6 0 1/6 0 1/6 0 1/6 0 1/6 0 1/6 0"),
+        ("chi2[d=2](x2)", 2, 2, "2/3 0 0 0 0 0 -1/3 0 -1/3 0 0 0"),
+    ],
+    "A1xA1swap": [
+        ("chi0[d=1]", 1, 1, "1/8 -1/8 -1/8 1/8 -1/8 1/8 1/8 -1/8"),
+        ("chi1[d=1]", 1, 1, "1/8 -1/8 1/8 -1/8 1/8 -1/8 1/8 -1/8"),
+        ("sgn", 1, 1, "1/8 1/8 -1/8 -1/8 -1/8 -1/8 1/8 1/8"),
+        ("triv", 1, 1, "1/8 1/8 1/8 1/8 1/8 1/8 1/8 1/8"),
+        ("chi4[d=2]", 1, 2, "1/2 0 0 0 0 0 -1/2 0"),
+    ],
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_BLOCKS))
+def test_blocks_match_the_pinned_decomposition(preset):
+    H = build_preset(preset, mode="r1")
+    table = TwistedGroupAlgebra(H.group, H.cocycle)
+    got = [(b.label(), b.field_degree, b.dim, " ".join(str(c) for c in b.idempotent))
+           for b in table.blocks]
+    assert got == PINNED_BLOCKS[preset]

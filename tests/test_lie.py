@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from gradedhecke.lie import CuspidalSupportDescriptor, RootGradedLieAlgebra, build_sl, \
-    build_so, build_sp, compute_parameters, f4_ratio_admissible, \
-    restricted_root_spaces, support_weyl_data
+from gradedhecke.lie import CuspidalSupportDescriptor, RootGradedLieAlgebra, _from_matrices, \
+    _nilpotency_degree, build_sl, build_so, build_sp, compute_parameters, \
+    f4_ratio_admissible, restricted_root_spaces, support_weyl_data
 
 
 def test_sl2_root_spaces():
@@ -83,6 +83,26 @@ def test_nilpotency_degree_bounded():
         # degree <= dimension of the space, by construction of the check
         values = compute_parameters(L, {"E12": 1})
         assert all(k - 1 <= m + 1 for k in values.values())
+
+
+def test_nilpotency_degree_and_is_nilpotent_share_one_answer():
+    shift = [[Fraction(int(j == i + 1)) for j in range(3)] for i in range(3)]
+    swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    assert _nilpotency_degree(shift) == 3
+    assert _nilpotency_degree(swap) is None
+    assert _nilpotency_degree([]) == 0
+    L = build_sl(3, [1, 1, 1])
+    assert L.is_nilpotent(L.parse_vector({"E12": 1, "E23": 1}))
+    assert not L.is_nilpotent(L.parse_vector({"H1": 1}))
+    with pytest.raises(ValueError, match="v must be ad-nilpotent"):
+        compute_parameters(L, {"H1": 1})
+
+
+def test_bracket_outside_the_basis_is_rejected():
+    e12 = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+    e21 = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
+    with pytest.raises(ValueError, match="bracket left the span of the basis"):
+        _from_matrices(2, [("E12", e12), ("E21", e21)], [2])
 
 
 def test_grading_validation():

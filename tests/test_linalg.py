@@ -10,13 +10,28 @@ import pytest
 
 from gradedhecke.linalg import block_matrix, coordinates, identity, mat_add, mat_mul, \
     mat_pow, mat_scale, mat_sub, mat_vec, min_poly, nullspace, rational_roots, \
-    root_multiplicity, rref, solve, trace, transpose
+    root_multiplicity, rref, split_space, trace, transpose
 from gradedhecke.polynomials import Polynomial
 from gradedhecke.scalars import poly_mul
 
 
 def F(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def solve(matrix, rhs):
+    """One solution of A x = b, or None if inconsistent: an oracle for `coordinates`."""
+    if not matrix:
+        return [] if all(x == 0 for x in rhs) else None
+    ncols = len(matrix[0])
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    rows, pivots = rref(aug)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][ncols]
+    return x
 
 
 def test_coordinates_in_a_basis():
@@ -53,6 +68,61 @@ def test_generalized_eigenspace_of_a_jordan_block():
     shifted = mat_sub(jordan, mat_scale(identity(2), Fraction(2)))
     assert len(nullspace(mat_pow(shifted, 1))) == 1
     assert len(nullspace(mat_pow(shifted, m))) == 2
+
+
+def _same_span(a, b):
+    rows_a, pivots_a = rref(a)
+    rows_b, pivots_b = rref(b)
+    return rows_a[:len(pivots_a)] == rows_b[:len(pivots_b)]
+
+
+def test_split_space_keeps_a_jordan_block_whole():
+    pieces = split_space(F([[2, 1], [0, 2]]), identity(2))
+    assert [lam for lam, _ in pieces] == [2]
+    assert _same_span(pieces[0][1], identity(2))
+
+
+def test_split_space_puts_irrational_eigenvalues_in_a_last_piece():
+    op = F([[1, 0, 0], [0, 0, 2], [0, 1, 0]])  # diag(1, [[0, 2], [1, 0]])
+    assert split_space(op, identity(3)) == [
+        (Fraction(1), F([[1, 0, 0]])), (None, F([[0, 1, 0], [0, 0, 1]]))]
+
+
+def test_split_space_removes_the_whole_generalized_eigenspace():
+    # a 2x2 Jordan block at 1 beside [[0, 2], [1, 0]]: the image of (op - 1)
+    # alone would still meet the Jordan block, the image of (op - 1)^2 does not
+    op = F([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]])
+    (lam, rows), (rest, others) = split_space(op, identity(4))
+    assert lam == 1 and _same_span(rows, F([[1, 0, 0, 0], [0, 1, 0, 0]]))
+    assert rest is None and _same_span(others, F([[0, 0, 1, 0], [0, 0, 0, 1]]))
+
+
+def test_split_space_without_a_rational_eigenvalue():
+    basis = F([[1, 1], [0, 1]])
+    pieces = split_space(F([[0, 1], [1, 1]]), basis)
+    assert [lam for lam, _ in pieces] == [None]
+    assert _same_span(pieces[0][1], basis)
+
+
+def test_split_space_on_a_one_by_one_matrix():
+    assert split_space(F([[5]]), F([[1]])) == [(Fraction(5), F([[1]]))]
+    assert split_space(F([[0]]), F([[3]])) == [(Fraction(0), F([[3]]))]
+
+
+def test_split_space_on_a_proper_invariant_subspace():
+    # op fixes e1, but the span of (1, 1, 0) and e3 only sees the eigenvalues 2 and 3
+    op = F([[1, 1, 0], [0, 2, 0], [0, 0, 3]])
+    pieces = split_space(op, F([[1, 1, 0], [0, 0, 1]]))
+    assert [lam for lam, _ in pieces] == [2, 3]
+    assert _same_span(pieces[0][1], F([[1, 1, 0]]))
+    assert _same_span(pieces[1][1], F([[0, 0, 1]]))
+
+
+def test_split_space_orders_eigenvalues_ascending():
+    op = F([[3, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 2)]])
+    pieces = split_space(op, identity(3))
+    assert [lam for lam, _ in pieces] == [-1, Fraction(1, 2), 3]
+    assert [rows for _, rows in pieces] == [F([[0, 1, 0]]), F([[0, 0, 1]]), F([[1, 0, 0]])]
 
 
 def test_mat_pow_matches_repeated_products():

@@ -99,6 +99,12 @@ def test_cone_with_central_part():
     assert pos.strictly_negative_part      # root part strictly inside
 
 
+def test_cone_position_of_a_torus_without_roots():
+    rs = RootSystem.from_specs([], central_dim=2)
+    pos = rs.cone_position((Fraction(1), Fraction(-3)))
+    assert pos.coroot_coeffs == () and pos.central == (Fraction(1), Fraction(-3))
+
+
 def test_from_root_vectors_b2():
     vecs = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
     system, coords = RootSystem.from_root_vectors(vecs)

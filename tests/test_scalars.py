@@ -1,7 +1,9 @@
+import doctest
 from fractions import Fraction
 
 import pytest
 
+from gradedhecke import scalars
 from gradedhecke.scalars import Cyc, cyclotomic_poly, poly_divmod, poly_ext_gcd, poly_mul
 
 
@@ -55,3 +57,9 @@ def test_poly_helpers():
     rhs = poly_mul(v, [Fraction(1), Fraction(1)])
     total = [a + b for a, b in zip(lhs + [Fraction(0)] * 3, rhs + [Fraction(0)] * 3)]
     assert total[0] == 1 and all(c == 0 for c in total[1:])
+
+
+def test_module_doctests_pass():
+    result = doctest.testmod(scalars)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -20,7 +20,7 @@ from .lie import CuspidalSupportDescriptor, RootGradedLieAlgebra, build_sl, buil
     build_sp, compute_parameters, f4_ratio_admissible, support_weyl_data
 from .modules import FiniteDimModule, classify_rank_one, weight_decomposition, \
     zeta_rank_one
-from .presets import PRESETS, build_preset, load_algebra_file, parse_scalar
+from .presets import PRESETS, build_preset, load_algebra_file, parse_scalar, parse_table
 from .scalars import scalar_str
 from .verification import ALL_SUITES, run_verification
 
@@ -37,11 +37,10 @@ def _algebra_from_args(args) -> HeckeAlgebra:
     if getattr(args, "cocycle_file", None):
         from .weylgroups import Cocycle
 
-        with open(args.cocycle_file) as fh:
-            table = json.load(fh)
         order = algebra.cyclotomic_order
-        parsed = [[parse_scalar(v, order) for v in row] for row in table]
-        cocycle = Cocycle(algebra.group, parsed, normalize=False)
+        with open(args.cocycle_file) as fh:
+            table = parse_table(json.load(fh), order)
+        cocycle = Cocycle(algebra.group, table, normalize=False)
         algebra = HeckeAlgebra(algebra.group, algebra.k, cocycle,
                                mode=algebra.mode, cyclotomic_order=order)
     return algebra
@@ -89,6 +88,8 @@ def cmd_eval(args) -> int:
 def _load_lie_fixture(path: str) -> RootGradedLieAlgebra:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a Lie fixture must be a JSON object")
     if "builder" in data:
         kind = data["builder"]
         size = int(data["size"])
@@ -162,14 +163,20 @@ def _classify_module_file(args) -> int:
     try:
         with open(args.module_file) as fh:
             data = json.load(fh)
-        x_mats = [[[Fraction(str(v)) for v in row] for row in m] for m in data["x"]]
+        if not isinstance(data, dict) or not isinstance(data.get("x"), list) \
+                or not isinstance(data.get("N"), dict):
+            raise ValueError('a module file must be a JSON object with a list "x" '
+                             'and an object "N"')
+        x_mats = [parse_table(m) for m in data["x"]]
+        if len(x_mats) != algebra.rs.dim:
+            raise ValueError(f"module file has {len(x_mats)} x matrices, "
+                             f"the algebra needs {algebra.rs.dim}")
         gens = {}
         for name, m in data["N"].items():
-            kind, idx = name[0], int(name[1:])
-            gens[(kind, idx if kind == "g" else idx - 1)] = \
-                [[Fraction(str(v)) for v in row] for row in m]
+            kind, idx = name[:1], int(name[1:])
+            gens[(kind, idx if kind == "g" else idx - 1)] = parse_table(m)
         module = FiniteDimModule(algebra, x_mats, gens,
-                                 r_value=Fraction(str(data.get("r", 1))))
+                                 r_value=parse_scalar(data.get("r", 1)))
     except (OSError, KeyError, ValueError) as err:
         print(f"module error: {err}", file=sys.stderr)
         return 2
@@ -246,11 +253,10 @@ def _structure_constants(algebra: HeckeAlgebra, degree_cap: int):
     for w in algebra.group.elements:
         for e in monomials:
             basis.append((w, e))
+    elements = [_basis_element(algebra, w, e) for w, e in basis]
     entries = []
-    for i, (u, e1) in enumerate(basis):
-        a = _basis_element(algebra, u, e1)
-        for j, (v, e2) in enumerate(basis):
-            b = _basis_element(algebra, v, e2)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
             prod = a * b
             terms = []
             for wi in sorted(prod.terms):

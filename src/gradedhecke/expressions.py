@@ -118,7 +118,11 @@ class _Parser:
             self.expect(")")
             return inner
         if kind == "number":
-            return self.algebra.one().scale(Fraction(text))
+            try:
+                value = Fraction(text)
+            except ZeroDivisionError:
+                raise ExpressionError(f"zero denominator in {text!r}", pos) from None
+            return self.algebra.one().scale(value)
         if kind == "name":
             return self._name_atom(text, pos)
         raise ExpressionError(f"unexpected token {text!r}", pos)

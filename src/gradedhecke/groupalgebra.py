@@ -151,10 +151,11 @@ class TwistedGroupAlgebra:
                 continue
             chi = {}
             for w in self.group.elements:
-                # trace_reg(N_w e) = d * chi(w); coefficient of N_e carries it
-                prod = self.product_vector(_basis_vector(self.n, w.index), b.idempotent)
-                val = self.n * prod[self.group.identity.index] / b.dim
-                chi[w.index] = val
+                # trace_reg(N_w e) = d * chi(w) is n times the N_1 coefficient
+                # of N_w e, which only N_w N_{w^-1} = c(w, w^-1) N_1 reaches
+                wi = self.group.inverse(w).index
+                coeff = b.idempotent[wi] * self._mult[w.index][wi][1]
+                chi[w.index] = self.n * coeff / b.dim
             b.character = chi
             if all(v == 1 for v in chi.values()):
                 b.name = "triv"

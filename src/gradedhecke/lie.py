@@ -149,12 +149,16 @@ class RootGradedLieAlgebra:
             if unknown:
                 raise ValueError(f"unknown basis elements: {', '.join(unknown)}")
             coords = {idx[name]: c for name, c in coords.items()}
-        else:
+        elif isinstance(coords, list):
             coords = dict(enumerate(coords))
+        else:
+            raise ValueError("v must be {name: coeff} or a list of coefficients")
         try:
             return {i: Fraction(c) for i, c in coords.items() if Fraction(c)}
         except ZeroDivisionError:
             raise ValueError("zero denominator in a coordinate of v") from None
+        except TypeError:
+            raise ValueError("a coordinate of v is not a number") from None
 
     def __repr__(self):
         return f"RootGradedLieAlgebra(dim={self.n})"
@@ -194,13 +198,8 @@ def compute_parameters(L: RootGradedLieAlgebra, v) -> dict[tuple, int]:
         raise ValueError("no restricted roots: the Levi is the whole algebra")
     values = {}
     for alpha, idxs in spaces.items():
-        m = _ad_on_span(L, vvec, idxs)
-        degree = _nilpotency_degree(m)
-        if degree is None:
-            raise ValueError("operator is not nilpotent on the root space")
-        if degree > len(idxs):
-            raise AssertionError("nilpotency degree exceeds the space dimension")
-        values[alpha] = degree + 1
+        # ad(v) is nilpotent, so is its restriction to an invariant root space
+        values[alpha] = _nilpotency_degree(_ad_on_span(L, vvec, idxs)) + 1
     _check_invariance(values)
     return values
 

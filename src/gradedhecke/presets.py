@@ -29,7 +29,7 @@ from .scalars import Cyc
 from .weylgroups import Cocycle, ExtendedWeylGroup, ParameterFunction
 
 __all__ = ["PRESETS", "build_preset", "algebra_from_config", "parse_scalar",
-           "load_algebra_file"]
+           "parse_table", "load_algebra_file"]
 
 PRESETS = {
     "A1": {"types": [["A", 1]], "k": ["1"]},
@@ -66,6 +66,13 @@ def parse_scalar(text, order=None):
     return Cyc(order, coeffs)
 
 
+def parse_table(rows, order=None) -> list[list]:
+    """Parse a JSON list of rows of scalars, as `parse_scalar` does each one."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("expected a table: a JSON list of rows")
+    return [[parse_scalar(v, order) for v in row] for row in rows]
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -80,6 +87,9 @@ def algebra_from_config(config: dict) -> HeckeAlgebra:
     missing = [key for key in ("types", "k") if key not in config]
     if missing:
         raise ValueError(f"algebra description lacks {', '.join(map(repr, missing))}")
+    for key in ("types", "k", "gamma"):
+        if not isinstance(config.get(key, []), list):
+            raise ValueError(f"{key!r} in the algebra description must be a list")
     types = [(str(t), int(r)) for t, r in config["types"]]
     central = int(config.get("central", 0))
     rs = RootSystem.from_specs(types, central_dim=central)
@@ -90,8 +100,7 @@ def algebra_from_config(config: dict) -> HeckeAlgebra:
     k = ParameterFunction.from_simple_values(group, k_values)
     cocycle_table = config.get("cocycle")
     if cocycle_table is not None:
-        table = [[parse_scalar(v, order) for v in row] for row in cocycle_table]
-        cocycle = Cocycle(group, table)
+        cocycle = Cocycle(group, parse_table(cocycle_table, order))
     else:
         cocycle = Cocycle(group)
     mode = config.get("mode", "generic")

@@ -123,7 +123,7 @@ class RootSystem:
             raise ValueError("component ranks must sum to the rank")
         self.lengths = self._symmetrize()
         self.roots = self._generate_roots()
-        self._root_set = set(self.roots)
+        self.root_index = {b: i for i, b in enumerate(self.roots)}
         self.positive_roots = [b for b in self.roots if self._is_positive(b)]
         self.simple_indices = {self._simple(i): i for i in range(rank)}
 
@@ -237,7 +237,7 @@ class RootSystem:
         return tuple(out)
 
     def is_root(self, beta) -> bool:
-        return tuple(beta) in self._root_set
+        return tuple(beta) in self.root_index
 
     def reflection_matrix(self, i: int):
         """Matrix of s_{alpha_i} on a^vee (full dim, identity on the centre)."""
@@ -247,20 +247,6 @@ class RootSystem:
             # s_i(alpha_j) = alpha_j - C[i][j] alpha_i
             m[i][j] -= self.cartan[i][j]
         return tuple(tuple(row) for row in m)
-
-    def general_reflection_matrix(self, beta):
-        """Action matrix of s_beta for an arbitrary root beta."""
-        n = self.dim
-        m = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
-        for j in range(self.rank):
-            c = self.pairing_root(self._simple(j), beta)
-            for i in range(self.rank):
-                m[i][j] -= c * beta[i]
-        for row in m:
-            for x in row:
-                if x.denominator != 1:
-                    raise ValueError("reflection matrix must be integral on root coords")
-        return tuple(tuple(int(x) for x in row) for row in m)
 
     # -- polynomials and points ---------------------------------------------------
     def root_polynomial(self, beta) -> Polynomial:

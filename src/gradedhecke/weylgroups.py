@@ -4,11 +4,13 @@ Extended Weyl groups W x| Gamma, 2-cocycles and parameter functions.
 Gamma is a group of diagram automorphisms: permutations of the base that
 preserve the Cartan matrix.  Group elements are stored as (reduced word,
 Gamma part, action matrix on a^vee).  Enumeration builds, once, a table of
-right products by each simple reflection and each Gamma element; products,
-inverses and words are walks through that table, so no matrix is multiplied
-after the group is built.  The action matrix serves the actions on roots,
-points and polynomials, and keys `from_key` and `reflection`: the group acts
-faithfully on the root span.
+right products by each simple reflection and each Gamma element, and a
+table of the permutation of the roots by each element; products, inverses
+and words are walks through the first, and `act_root`, `reflection` and
+root orbits are lookups in the second, so no matrix is multiplied after the
+group is built.  The action matrix serves the actions on points and
+polynomials, and keys `from_key`: the group acts faithfully on the root
+span.
 """
 
 from __future__ import annotations
@@ -152,6 +154,29 @@ class ExtendedWeylGroup:
             perm = self.gamma_elements[u.gamma]
             ginv = self.gamma_element(self._gamma_index[tuple(perm.index(j) for j in range(rank))])
             self._inverses.append(self._walk(reversed(u.word), start=ginv.index))
+        # _root_perm[u.index][b] = index of u(roots[b]).  Each u != 1 is u' * g
+        # with u' earlier in the order (its word without the last letter, or
+        # without the Gamma part), and u(beta) = u'(g(beta)).
+        roots, index = self.rs.roots, self.rs.root_index
+        gens = [tuple(index[tuple(sum(m[i][j] * b[j] for j in range(rank))
+                                  for i in range(rank))] for b in roots)
+                for m in refl + gammas]
+        self._root_perm = [tuple(range(len(roots)))]
+        for u in self.elements[1:]:
+            if u.gamma:
+                prev, g = self._walk(u.word), rank + u.gamma
+            else:
+                prev, g = self._walk(u.word[:-1]), u.word[-1]
+            perm = self._root_perm[prev.index]
+            self._root_perm.append(tuple(perm[c] for c in gens[g]))
+        # every root of a reduced system is some u(alpha_i); s_beta = u s_i u^-1
+        self._reflections = {}
+        for u, perm in zip(self.elements, self._root_perm):
+            for i in range(rank):
+                beta = roots[perm[index[self.rs._simple(i)]]]
+                if beta not in self._reflections:
+                    self._reflections[beta] = self.multiply(
+                        self.multiply(u, self.simple(i)), self.inverse(u))
 
     def _walk(self, word, gamma_idx: int = 0, start: int = 0) -> GroupElement:
         """start * s_word * gamma, read off the table."""
@@ -190,9 +215,8 @@ class ExtendedWeylGroup:
 
     # -- actions ----------------------------------------------------------------------
     def act_root(self, u: GroupElement, beta):
-        m = u.key
-        return tuple(sum(m[i][j] * beta[j] for j in range(self.rs.rank))
-                     for i in range(self.rs.rank))
+        """u(beta) for a root beta, read off the root table."""
+        return self.rs.roots[self._root_perm[u.index][self.rs.root_index[beta]]]
 
     def act_point(self, u: GroupElement, point):
         """Contragredient action on points of `a` in dual coordinates."""
@@ -218,33 +242,8 @@ class ExtendedWeylGroup:
 
     # -- reflections and characters ---------------------------------------------------
     def reflection(self, beta) -> GroupElement:
-        return self._by_key[self.rs.general_reflection_matrix(beta)]
-
-    def simple_reflection_classes(self) -> list[list[int]]:
-        """Partition of simple-root indices by conjugacy in the full group."""
-        simples = [self.simple(i) for i in range(self.rs.rank)]
-        positions = {s.index: i for i, s in enumerate(simples)}
-        parent = list(range(self.rs.rank))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for g in self.elements:
-            ginv = self.inverse(g)
-            for i, s in enumerate(simples):
-                conj = self.multiply(self.multiply(g, s), ginv)
-                j = positions.get(conj.index)
-                if j is not None:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-        classes: dict[int, list[int]] = {}
-        for i in range(self.rs.rank):
-            classes.setdefault(find(i), []).append(i)
-        return [sorted(v) for _, v in sorted(classes.items())]
+        """s_beta for a root beta."""
+        return self._reflections[beta]
 
     def epsilon_characters(self) -> list["EpsilonCharacter"]:
         """All sign characters constant on reflection classes, trivial on Gamma.
@@ -253,8 +252,11 @@ class ExtendedWeylGroup:
         constant on their conjugacy classes extends to a character.  The
         classes here are taken in W x| Gamma, so they are Gamma-stable and
         every such assignment is a character of W x| Gamma trivial on Gamma.
+        Since g s_i g^-1 = s_{g alpha_i}, s_i and s_j are conjugate exactly
+        when alpha_i and alpha_j share an orbit: the classes are
+        `simple_root_orbits`.
         """
-        classes = self.simple_reflection_classes()
+        classes = self.simple_root_orbits()
         out = []
         for mask in range(1 << len(classes)):
             signs = [0] * self.rs.rank
@@ -268,38 +270,19 @@ class ExtendedWeylGroup:
     # -- orbits -------------------------------------------------------------------------
     def simple_root_orbits(self) -> list[list[int]]:
         """Partition of simple-root indices by membership in a common orbit."""
+        rs = self.rs
         out = []
-        seen = set()
-        for i in range(self.rs.rank):
-            if i in seen:
-                continue
-            e = [0] * self.rs.rank
-            e[i] = 1
-            orbit = set(self.root_orbit(tuple(e)))
-            members = [j for j in range(self.rs.rank)
-                       if tuple(1 if t == j else 0 for t in range(self.rs.rank)) in orbit]
-            out.append(sorted(members))
-            seen.update(members)
+        for i in range(rs.rank):
+            if not any(i in orbit for orbit in out):
+                orbit = set(self.root_orbit(rs._simple(i)))
+                out.append(sorted(j for b, j in rs.simple_indices.items() if b in orbit))
         return out
 
     def root_orbit(self, beta) -> list[tuple]:
-        seen = {tuple(beta)}
-        frontier = [tuple(beta)]
-        while frontier:
-            new = []
-            for b in frontier:
-                for i in range(self.rs.rank):
-                    img = self.rs.reflect_root(i, b)
-                    if img not in seen:
-                        seen.add(img)
-                        new.append(img)
-                for gi in range(len(self.gamma_elements)):
-                    img = self.act_root(self.gamma_element(gi), b)
-                    if img not in seen:
-                        seen.add(img)
-                        new.append(img)
-            frontier = new
-        return sorted(seen)
+        """The orbit of a root beta, sorted."""
+        roots = self.rs.roots
+        b = self.rs.root_index[beta]
+        return sorted({roots[p[b]] for p in self._root_perm})
 
     def describe(self) -> str:
         g = len(self.gamma_elements)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -301,4 +302,33 @@ def test_verify_rejects_incomplete_algebra_file(config, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     assert run_cli("verify", "--algebra-file", str(path)) == 2
+    _one_line_error(capsys)
+
+
+_SL3_LEVI = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "sl3_levi.json")
+_CLASSIFY_FILE = ["classify", "--preset", "A1", "--module-file", "FILE"]
+
+
+@pytest.mark.parametrize("argv, content", [
+    pytest.param(["eval", "--preset", "A1", "1/0"], None, id="expression-zero-denominator"),
+    pytest.param(["eval", "--preset", "A1", "--cocycle-file", "FILE", "x"], 5,
+                 id="cocycle-scalar"),
+    pytest.param(["eval", "--preset", "A1", "--cocycle-file", "FILE", "x"], [5],
+                 id="cocycle-scalar-row"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"], {"types": [["A", 2]], "k": 5},
+                 id="algebra-k-scalar"),
+    pytest.param(["params", _SL3_LEVI, "--v", "5"], None, id="v-scalar"),
+    pytest.param(["params", _SL3_LEVI, "--v", '{"E12": null}'], None, id="v-null-coordinate"),
+    pytest.param(["params", "FILE"], [1], id="lie-fixture-list"),
+    pytest.param(_CLASSIFY_FILE, {"x": 5, "N": {}}, id="module-x-scalar"),
+    pytest.param(_CLASSIFY_FILE, [1], id="module-list"),
+    pytest.param(_CLASSIFY_FILE, {"x": [[[1]]], "N": {"s1": [[1]]}, "r": "1/0"},
+                 id="module-r-zero-denominator"),
+    pytest.param(_CLASSIFY_FILE, {"x": [], "N": {}}, id="module-without-matrices"),
+])
+def test_malformed_input_exits_2_with_one_line(argv, content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    assert run_cli(*[str(path) if a == "FILE" else a for a in argv]) == 2
     _one_line_error(capsys)

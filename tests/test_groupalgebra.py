@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gradedhecke.groupalgebra import TwistedGroupAlgebra
-from gradedhecke.presets import build_preset
+from gradedhecke.presets import PRESETS, build_preset
 from gradedhecke.rootdata import RootSystem
 from gradedhecke.weylgroups import Cocycle, ExtendedWeylGroup
 
@@ -147,3 +147,24 @@ def test_blocks_match_the_pinned_decomposition(preset):
     got = [(b.label(), b.field_degree, b.dim, " ".join(str(c) for c in b.idempotent))
            for b in table.blocks]
     assert got == PINNED_BLOCKS[preset]
+
+
+def _character_oracle(table, block):
+    """chi(w) = n * (N_1 coefficient of N_w e) / d, from the full product N_w e."""
+    chi = {}
+    for w in table.group.elements:
+        basis = [Fraction(0)] * table.n
+        basis[w.index] = Fraction(1)
+        prod = table.product_vector(basis, block.idempotent)
+        chi[w.index] = table.n * prod[table.group.identity.index] / block.dim
+    return chi
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_characters_match_the_product_oracle(preset):
+    table = table_for(preset)
+    for b in table.blocks:
+        if b.field_degree == 1:
+            assert b.character == _character_oracle(table, b)
+        else:
+            assert b.character == {}

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -86,7 +87,7 @@ def _is_character(g, eps):
 def test_epsilon_characters_are_multiplicative(name):
     g = build_preset(name).group
     chars = g.epsilon_characters()
-    assert len(chars) == 2 ** len(g.simple_reflection_classes())
+    assert len(chars) == 2 ** len(g.simple_root_orbits())
     assert all(_is_character(g, eps) for eps in chars)
 
 
@@ -108,6 +109,107 @@ def test_reflection_conjugation_rule():
             lhs = g.reflection(img)
             rhs = g.multiply(g.multiply(w, g.reflection(beta)), g.inverse(w))
             assert lhs.key == rhs.key
+
+
+# --- the root table -------------------------------------------------------------
+
+ROOT_TABLE_SYSTEMS = sorted(PRESETS) + ["F4", "D4xS3", "C3+1"]
+
+
+@functools.lru_cache(maxsize=None)
+def _root_table_group(name):
+    if name in PRESETS:
+        return build_preset(name).group
+    return {"F4": lambda: group([("F", 4)]),
+            "D4xS3": lambda: group([("D", 4)], gamma=[(2, 1, 0, 3), (3, 1, 2, 0)]),
+            "C3+1": lambda: group([("C", 3)], central=1)}[name]()
+
+
+def _reflection_matrix_oracle(rs, beta):
+    """Action matrix of s_beta: alpha_j -> alpha_j - <alpha_j, beta^vee> beta."""
+    n = rs.dim
+    m = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    for j in range(rs.rank):
+        c = rs.pairing_root(rs._simple(j), beta)
+        for i in range(rs.rank):
+            m[i][j] -= c * beta[i]
+    assert all(x.denominator == 1 for row in m for x in row)
+    return tuple(tuple(int(x) for x in row) for row in m)
+
+
+def _key_times_root(u, beta):
+    return tuple(sum(row[j] * beta[j] for j in range(len(beta)))
+                 for row in u.key[:len(beta)])
+
+
+def _reflection_classes_oracle(g):
+    """Simple-root indices joined when g s_i g^-1 = s_j, by union-find."""
+    rank = g.rs.rank
+    positions = {g.simple(i).index: i for i in range(rank)}
+    parent = list(range(rank))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for u in g.elements:
+        for i in range(rank):
+            conj = g.multiply(g.multiply(u, g.simple(i)), g.inverse(u))
+            j = positions.get(conj.index)
+            if j is not None:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    classes = {}
+    for i in range(rank):
+        classes.setdefault(find(i), []).append(i)
+    return [classes[r] for r in sorted(classes)]
+
+
+def _root_orbit_oracle(g, beta):
+    """Closure of {beta} under the simple reflections and the Gamma elements."""
+    seen = {beta}
+    frontier = [beta]
+    while frontier:
+        new = []
+        for b in frontier:
+            images = [g.rs.reflect_root(i, b) for i in range(g.rs.rank)]
+            images += [_key_times_root(g.gamma_element(gi), b)
+                       for gi in range(len(g.gamma_elements))]
+            for img in images:
+                if img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("name", ROOT_TABLE_SYSTEMS)
+def test_reflection_matches_the_reflection_matrix(name):
+    g = _root_table_group(name)
+    for beta in g.rs.roots:
+        assert g.reflection(beta).key == _reflection_matrix_oracle(g.rs, beta)
+
+
+@pytest.mark.parametrize("name", ROOT_TABLE_SYSTEMS)
+def test_act_root_matches_the_key_matrix(name):
+    g = _root_table_group(name)
+    for u in g.elements:
+        for beta in g.rs.roots:
+            assert g.act_root(u, beta) == _key_times_root(u, beta)
+
+
+@pytest.mark.parametrize("name", ROOT_TABLE_SYSTEMS)
+def test_simple_root_orbits_are_the_reflection_classes(name):
+    g = _root_table_group(name)
+    assert g.simple_root_orbits() == _reflection_classes_oracle(g)
+
+
+@pytest.mark.parametrize("name", ROOT_TABLE_SYSTEMS)
+def test_root_orbit_matches_the_closure(name):
+    g = _root_table_group(name)
+    for beta in g.rs.roots:
+        assert g.root_orbit(beta) == _root_orbit_oracle(g, beta)
 
 
 # --- cocycles ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from .lie import CuspidalSupportDescriptor, RootGradedLieAlgebra, build_sl, buil
     build_sp, compute_parameters, f4_ratio_admissible, support_weyl_data
 from .modules import FiniteDimModule, classify_rank_one, weight_decomposition, \
     zeta_rank_one
+from .polynomials import Polynomial
 from .presets import PRESETS, build_preset, load_algebra_file, parse_scalar, parse_table
 from .scalars import scalar_str
 from .verification import ALL_SUITES, run_verification
@@ -237,7 +238,20 @@ def cmd_export(args) -> int:
 
 
 def _structure_constants(algebra: HeckeAlgebra, degree_cap: int):
-    """Products of all PBW basis elements up to the polynomial degree cap."""
+    """Products of all PBW basis elements up to the polynomial degree cap.
+
+    The table is bilinear.  With {t: q_t} the result of moving x^a through
+    N_v (`_move_poly`),
+
+        (N_u x^a)(N_v x^b) = sum_t c(u, v) N_{u t} q_t x^b,
+
+    so x^a is moved through N_v once per (a, v), and each product needs one
+    group product, one cocycle value and an exponent shift by b per t.
+    Nothing needs merging: the twist c(u, v) depends only on the Gamma
+    parts, so one value serves every t, and distinct t give distinct u t.
+    A shift by b keeps exponents in lexicographic order, so the pieces of
+    each q_t are sorted and formatted once per (a, v, twist).
+    """
     from itertools import product as iproduct
 
     if degree_cap < 0:
@@ -249,33 +263,37 @@ def _structure_constants(algebra: HeckeAlgebra, degree_cap: int):
         if sum(expo) <= degree_cap:
             monomials.append(tuple(expo) + (0,) * (nv - max_var))
     monomials.sort()
-    basis = []
-    for w in algebra.group.elements:
-        for e in monomials:
-            basis.append((w, e))
-    elements = [_basis_element(algebra, w, e) for w, e in basis]
+    group = algebra.group
+    elements = group.elements
+    labels = [_word_label(algebra, w) for w in elements]
+    basis = [(w, e) for w in elements for e in monomials]
+    # (a, v.index) -> [(t, sorted terms of q_t)], every move the table needs
+    moves = {(a, v.index): [(elements[ti], sorted(q.terms.items())) for ti, q in
+                            algebra._move_poly(Polynomial(nv, {a: Fraction(1)}), v).items()]
+             for a in monomials for v in elements}
+    # (a, v.index, u.gamma) -> [(t, [(exponent, coefficient string)])]
+    formatted: dict[tuple, list] = {}
     entries = []
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            prod = a * b
-            terms = []
-            for wi in sorted(prod.terms):
-                w = algebra.group.elements[wi]
-                poly = prod.terms[wi]
-                for expo in sorted(poly.terms):
-                    terms.append([_word_label(algebra, w), list(expo),
-                                  scalar_str(poly.terms[expo])])
-            entries.append({"i": i, "j": j, "terms": terms})
+    for i, (u, a) in enumerate(basis):
+        j = 0
+        for v in elements:
+            pieces = formatted.get((a, v.index, u.gamma))
+            if pieces is None:
+                twist = algebra.cocycle.value(u, v)
+                pieces = [] if twist == 0 else [
+                    (t, [(e, scalar_str(c if twist == 1 else twist * c)) for e, c in terms])
+                    for t, terms in moves[a, v.index]]
+                formatted[a, v.index, u.gamma] = pieces
+            products = sorted((group.multiply(u, t).index, strings) for t, strings in pieces)
+            for b in monomials:
+                entries.append({"i": i, "j": j, "terms": [
+                    [labels[wi], [x + y for x, y in zip(e, b)], s]
+                    for wi, strings in products for e, s in strings]})
+                j += 1
     return {
-        "basis": [[_word_label(algebra, w), list(e)] for w, e in basis],
+        "basis": [[labels[w.index], list(e)] for w, e in basis],
         "products": entries,
     }
-
-
-def _basis_element(algebra, w, expo):
-    from .polynomials import Polynomial
-
-    return algebra.from_terms({w: Polynomial(algebra.nvars, {expo: Fraction(1)})})
 
 
 def _word_label(algebra, w) -> str:

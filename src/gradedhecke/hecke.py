@@ -156,7 +156,9 @@ class HeckeAlgebra:
             return delta
         if self.mode == "r1":
             return delta.scale(ki)
-        return (delta * Polynomial.variable(self.nvars, self._r_index)).scale(ki)
+        # r is the last variable, so multiplying by it raises the last exponent
+        return Polynomial(self.nvars, {e[:-1] + (e[-1] + 1,): ki * c
+                                       for e, c in delta.terms.items()})
 
     def _step(self, e: tuple, j: int) -> tuple[dict, dict]:
         """Compute and memoize the term dicts (moved, corr) of x^e * N_j.

@@ -80,6 +80,13 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in scalar {text!r}") from None
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+
+
 def algebra_from_config(config: dict) -> HeckeAlgebra:
     """Build an algebra instance from the JSON-style configuration."""
     if not isinstance(config, dict):
@@ -90,12 +97,20 @@ def algebra_from_config(config: dict) -> HeckeAlgebra:
     for key in ("types", "k", "gamma"):
         if not isinstance(config.get(key, []), list):
             raise ValueError(f"{key!r} in the algebra description must be a list")
-    types = [(str(t), int(r)) for t, r in config["types"]]
-    central = int(config.get("central", 0))
+    for entry in config["types"]:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValueError(f"each 'types' entry must be a [type, rank] pair, not {entry!r}")
+    for entry in config.get("gamma", []):
+        if not (isinstance(entry, list) and all(isinstance(i, int) for i in entry)):
+            raise ValueError(f"each 'gamma' entry must be a list of positions, not {entry!r}")
+    types = [(str(t), _integer(r, "a Cartan rank")) for t, r in config["types"]]
+    central = _integer(config.get("central", 0), "'central'")
     rs = RootSystem.from_specs(types, central_dim=central)
     gamma = [tuple(g) for g in config.get("gamma", [])]
     group = ExtendedWeylGroup(rs, gamma_generators=gamma)
     order = config.get("cyclotomic_order")
+    if order is not None and not (isinstance(order, int) and order >= 1):
+        raise ValueError(f"'cyclotomic_order' must be a positive integer, not {order!r}")
     k_values = [parse_scalar(v, order) for v in config["k"]]
     k = ParameterFunction.from_simple_values(group, k_values)
     cocycle_table = config.get("cocycle")

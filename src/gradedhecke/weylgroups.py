@@ -414,7 +414,7 @@ class ParameterFunction:
         missing = [b for b in group.rs.roots if b not in self.values]
         if missing:
             raise ValueError(f"parameter function missing roots, e.g. {missing[0]}")
-        bad = self.invariance_failure()
+        bad = self._generator_failure()
         if bad is not None:
             raise ValueError(
                 f"parameter function not invariant on the orbit of {bad}")
@@ -465,6 +465,23 @@ class ParameterFunction:
             v = self.values[b]
             for g in self.group.elements:
                 if self.values[self.group.act_root(g, b)] != v:
+                    return b
+        return None
+
+    def _generator_failure(self):
+        """Return a root that a generator moves to an unequal value, or None.
+
+        The simple reflections and Gamma generate the group, so this finds a
+        failure exactly when `invariance_failure` does, with |R| (rank + |Gamma|)
+        lookups instead of |R| |G|.
+        """
+        group = self.group
+        gens = [group.simple(i) for i in range(group.rs.rank)]
+        gens += [group.gamma_element(gi) for gi in range(1, len(group.gamma_elements))]
+        for b in group.rs.roots:
+            v = self.values[b]
+            for g in gens:
+                if self.values[group.act_root(g, b)] != v:
                     return b
         return None
 

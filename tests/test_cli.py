@@ -1,11 +1,14 @@
+import itertools
 import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from gradedhecke.cli import main
+from gradedhecke.cli import _structure_constants, main
+from gradedhecke.presets import algebra_from_config, build_preset
 from gradedhecke.verification import ALL_SUITES, SuiteResult
 
 
@@ -251,6 +254,56 @@ def test_export_deterministic_subprocess():
     assert first == second and first
 
 
+def _pairwise_table(algebra, degree_cap):
+    """The structure table with one `multiply` per pair of basis elements."""
+    from gradedhecke.cli import _word_label
+    from gradedhecke.polynomials import Polynomial
+    from gradedhecke.scalars import scalar_str
+
+    nv = algebra.nvars
+    max_var = nv if algebra.mode != "r1" else nv - 1
+    monomials = sorted(tuple(e) + (0,) * (nv - max_var)
+                       for e in itertools.product(range(degree_cap + 1), repeat=max_var)
+                       if sum(e) <= degree_cap)
+    basis = [(w, e) for w in algebra.group.elements for e in monomials]
+    elements = [algebra.from_terms({w: Polynomial(nv, {e: Fraction(1)})}) for w, e in basis]
+    entries = []
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            prod = a * b
+            terms = [[_word_label(algebra, algebra.group.elements[wi]), list(expo),
+                      scalar_str(prod.terms[wi].terms[expo])]
+                     for wi in sorted(prod.terms) for expo in sorted(prod.terms[wi].terms)]
+            entries.append({"i": i, "j": j, "terms": terms})
+    return {"basis": [[_word_label(algebra, w), list(e)] for w, e in basis],
+            "products": entries}
+
+
+def _with_cocycle(algebra, rows):
+    from gradedhecke.hecke import HeckeAlgebra
+    from gradedhecke.weylgroups import Cocycle
+
+    cocycle = Cocycle(algebra.group, [[Fraction(v) for v in row] for row in rows],
+                      normalize=False)
+    return HeckeAlgebra(algebra.group, algebra.k, cocycle, mode=algebra.mode)
+
+
+@pytest.mark.parametrize("make, degree_cap", [
+    pytest.param(lambda: build_preset("A2flip-tw"), 2, id="A2flip-tw"),
+    pytest.param(lambda: build_preset("G2", mode="r1"), 2, id="G2-r1"),
+    pytest.param(lambda: build_preset("A1", k=["0"], mode="k0"), 3, id="A1-k0"),
+    pytest.param(lambda: algebra_from_config({"types": [["B", 2]], "k": ["z", "1"],
+                                              "cyclotomic_order": 3}), 1, id="B2-cyc3"),
+    pytest.param(lambda: _with_cocycle(build_preset("A2flip-tw"), [[1, 1], [1, 2]]), 1,
+                 id="A2flip-tw-cocycle-2"),
+    pytest.param(lambda: _with_cocycle(build_preset("A2flip-tw"), [[1, 1], [1, 0]]), 1,
+                 id="A2flip-tw-cocycle-0"),
+])
+def test_structure_table_matches_pairwise_products(make, degree_cap):
+    algebra = make()
+    assert _structure_constants(algebra, degree_cap) == _pairwise_table(algebra, degree_cap)
+
+
 def test_classification_export(capsys):
     assert run_cli("export", "--preset", "A1", "--k", "1", "classification") == 0
     payload = json.loads(capsys.readouterr().out)
@@ -317,6 +370,22 @@ _CLASSIFY_FILE = ["classify", "--preset", "A1", "--module-file", "FILE"]
                  id="cocycle-scalar-row"),
     pytest.param(["eval", "--algebra-file", "FILE", "x1"], {"types": [["A", 2]], "k": 5},
                  id="algebra-k-scalar"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"], {"types": [5], "k": ["1"]},
+                 id="algebra-types-entry-scalar"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "gamma": [5], "k": ["1"]}, id="algebra-gamma-entry-scalar"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "gamma": [[None, 0]], "k": ["1"]},
+                 id="algebra-gamma-position-null"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"], {"types": [["A", None]], "k": ["1"]},
+                 id="algebra-rank-null"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "central": [1], "k": ["1"]}, id="algebra-central-list"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "cyclotomic_order": "x", "k": ["1"]},
+                 id="algebra-order-string"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "cyclotomic_order": 0, "k": ["z"]}, id="algebra-order-zero"),
     pytest.param(["params", _SL3_LEVI, "--v", "5"], None, id="v-scalar"),
     pytest.param(["params", _SL3_LEVI, "--v", '{"E12": null}'], None, id="v-null-coordinate"),
     pytest.param(["params", "FILE"], [1], id="lie-fixture-list"),

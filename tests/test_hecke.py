@@ -423,6 +423,32 @@ def test_move_poly_matches_unmemoized_walk_cyclotomic(mode):
     _check_move_poly(H, random.Random(f"move-cyc-{mode}"), cyc)
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_correction_is_the_product_with_r(name):
+    from gradedhecke.polynomials import divide_by_linear
+
+    H = build_preset(name)
+    r = Polynomial.variable(H.nvars, H.nvars - 1)
+    rng = random.Random(f"correction-{name}")
+    for i in range(H.rs.rank):
+        s = H.group.simple(i)
+        for _ in range(4):
+            p = _random_poly(H, rng, _fraction)
+            moved = H.group.act_polynomial(s, p)
+            delta = divide_by_linear(p - moved, H.rs.root_polynomial(H.rs._simple(i)))
+            assert H._correction(i, p, moved) == (delta * r).scale(H.k(H.rs._simple(i)))
+
+
+@pytest.mark.parametrize("name", ["A2flip-tw", "A1xA1swap"])
+def test_moved_terms_keep_the_gamma_part(name):
+    # so one cocycle value c(u, v) serves every term N_t of p * N_v
+    H = build_preset(name)
+    rng = random.Random(f"gamma-part-{name}")
+    for v in H.group.elements:
+        for ti in H._move_poly(_random_poly(H, rng, _fraction), v):
+            assert H.group.elements[ti].gamma == v.gamma
+
+
 def test_step_memo_starts_cold_on_derived_algebras():
     H = build_preset("B2")
     H.x(0) * H.x(1) * H.N((0, 1))

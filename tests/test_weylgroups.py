@@ -335,6 +335,43 @@ def test_parameter_invariance_exhaustive():
                 assert k(g.act_root(w, b)) == k(b)
 
 
+def _unchecked_parameters(g, values):
+    """A ParameterFunction holding values, bypassing the constructor's check."""
+    k = object.__new__(ParameterFunction)
+    k.group, k.values = g, dict(values)
+    return k
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["F4", "D4xS3"])
+def test_generator_check_matches_the_full_invariance_check(name):
+    g = _root_table_group(name)
+    if name in PRESETS:
+        invariant = build_preset(name).k.values
+    elif name == "F4":
+        invariant = ParameterFunction.from_simple_values(g, [1, 1, 2, 2]).values
+    else:
+        invariant = ParameterFunction.constant(g, 3).values
+    broken = dict(invariant)
+    broken[g.rs.roots[0]] += 1
+    for values, holds in ((invariant, True), (broken, False)):
+        k = _unchecked_parameters(g, values)
+        assert (k._generator_failure() is None) is holds
+        assert (k.invariance_failure() is None) is holds
+    with pytest.raises(ValueError, match="not invariant"):
+        ParameterFunction(g, broken)
+
+
+def test_generator_check_includes_gamma():
+    # k(alpha_1) != k(alpha_2) is W-invariant on A1 x A1 but not under the swap
+    g = _root_table_group("A1xA1swap")
+    values = {b: Fraction(1 if b[0] else 2) for b in g.rs.roots}
+    k = _unchecked_parameters(g, values)
+    assert k._generator_failure() is not None and k.invariance_failure() is not None
+    without_swap = _unchecked_parameters(group([("A", 1), ("A", 1)]), values)
+    assert without_swap._generator_failure() is None
+    assert without_swap.invariance_failure() is None
+
+
 def test_parameter_orbit_conflict():
     g = group([("A", 2)])
     with pytest.raises(ValueError):

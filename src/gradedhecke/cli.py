@@ -21,7 +21,8 @@ from .lie import CuspidalSupportDescriptor, RootGradedLieAlgebra, build_sl, buil
 from .modules import FiniteDimModule, classify_rank_one, weight_decomposition, \
     zeta_rank_one
 from .polynomials import Polynomial
-from .presets import PRESETS, build_preset, load_algebra_file, parse_scalar, parse_table
+from .presets import PRESETS, build_preset, load_algebra_file, parse_cocycle, parse_scalar, \
+    parse_table
 from .scalars import scalar_str
 from .verification import ALL_SUITES, run_verification
 
@@ -40,7 +41,7 @@ def _algebra_from_args(args) -> HeckeAlgebra:
 
         order = algebra.cyclotomic_order
         with open(args.cocycle_file) as fh:
-            table = parse_table(json.load(fh), order)
+            table = parse_cocycle(json.load(fh), order)
         cocycle = Cocycle(algebra.group, table, normalize=False)
         algebra = HeckeAlgebra(algebra.group, algebra.k, cocycle,
                                mode=algebra.mode, cyclotomic_order=order)

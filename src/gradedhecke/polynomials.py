@@ -13,7 +13,10 @@ All arithmetic runs on plain term dicts (exponent tuple -> coefficient):
 `_product` is the one multiplication and `_accumulate` the one in-place
 sum, shared by the ring operations, powers, substitution and division.
 Each public operation wraps its result in a single `Polynomial`, and
-substitution and division build no other.
+substitution and division build no other.  The constructor checks every
+term (arity, zero, and `TypeError` on a float or complex coefficient); the
+ring operations on two polynomials wrap their term dicts with `_wrap`
+unchecked, since sums, negations and products of checked terms need none.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ class Polynomial:
             for expo, coeff in terms.items():
                 if len(expo) != nvars:
                     raise ValueError(f"exponent {expo} has wrong arity, want {nvars}")
-                if coeff == 0:
+                if isinstance(coeff, (float, complex)):
+                    raise TypeError(f"inexact coefficient {coeff!r}: use int, Fraction or Cyc")
+                if not coeff:
                     continue
                 clean[tuple(expo)] = coeff
         object.__setattr__(self, "nvars", nvars)
@@ -84,16 +89,16 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return Polynomial(self.nvars, _accumulate(dict(self.terms), other.terms.items()))
+        return _wrap(self.nvars, _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _wrap(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return Polynomial(self.nvars, _accumulate(
+        return _wrap(self.nvars, _accumulate(
             dict(self.terms), ((e, -c) for e, c in other.terms.items())))
 
     def __rsub__(self, other):
@@ -103,7 +108,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        return Polynomial(self.nvars, _product(self.terms, other.terms))
+        return _wrap(self.nvars, _product(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -119,7 +124,7 @@ class Polynomial:
         terms = {(0,) * self.nvars: Fraction(1)}
         for _ in range(m):
             terms = _product(terms, self.terms)
-        return Polynomial(self.nvars, terms)
+        return _wrap(self.nvars, terms)
 
     # -- structure -------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -266,6 +271,15 @@ def divide_by_linear(num: Polynomial, alpha: Polynomial) -> Polynomial:
     return Polynomial(nvars, quotient)
 
 
+def _wrap(nvars: int, terms: dict) -> Polynomial:
+    """Wrap a fresh term dict unchecked: ring operations on checked
+    polynomials keep every term of the right arity, exact and nonzero."""
+    out = object.__new__(Polynomial)
+    object.__setattr__(out, "nvars", nvars)
+    object.__setattr__(out, "terms", terms)
+    return out
+
+
 def _product(a: dict, b: dict) -> dict:
     """Product of two term dicts, as a new term dict without zeros."""
     return _accumulate({}, ((tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
@@ -273,11 +287,20 @@ def _product(a: dict, b: dict) -> dict:
 
 
 def _accumulate(out: dict, pairs) -> dict:
-    """Add (exponent, coefficient) pairs into the term dict out, dropping zeros."""
+    """Add (exponent, coefficient) pairs into the term dict out, dropping zeros.
+
+    A new exponent stores its coefficient itself, so no sum starts from 0.
+    """
+    get = out.get
     for e, c in pairs:
-        s = out.get(e, 0) + c
-        if s == 0:
-            out.pop(e, None)
+        s = get(e)
+        if s is None:
+            if c:
+                out[e] = c
         else:
-            out[e] = s
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
     return out

@@ -29,7 +29,7 @@ from .scalars import Cyc
 from .weylgroups import Cocycle, ExtendedWeylGroup, ParameterFunction
 
 __all__ = ["PRESETS", "build_preset", "algebra_from_config", "parse_scalar",
-           "parse_table", "load_algebra_file"]
+           "parse_table", "parse_cocycle", "load_algebra_file"]
 
 PRESETS = {
     "A1": {"types": [["A", 1]], "k": ["1"]},
@@ -73,6 +73,14 @@ def parse_table(rows, order=None) -> list[list]:
     return [[parse_scalar(v, order) for v in row] for row in rows]
 
 
+def parse_cocycle(rows, order=None) -> list[list]:
+    """Parse a cocycle table as `parse_table` does; a zero value raises."""
+    table = parse_table(rows, order)
+    if not all(all(row) for row in table):
+        raise ValueError("cocycle values must be nonzero")
+    return table
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -81,10 +89,17 @@ def _fraction(text: str) -> Fraction:
 
 
 def _integer(value, what: str) -> int:
+    """An int, integral number or integer string as int; booleans raise."""
+    error = ValueError(f"{what} must be an integer, not {value!r}")
+    if isinstance(value, bool):
+        raise error
     try:
-        return int(value)
+        n = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+        raise error from None
+    if not isinstance(value, str) and n != value:
+        raise error
+    return n
 
 
 def algebra_from_config(config: dict) -> HeckeAlgebra:
@@ -101,7 +116,7 @@ def algebra_from_config(config: dict) -> HeckeAlgebra:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError(f"each 'types' entry must be a [type, rank] pair, not {entry!r}")
     for entry in config.get("gamma", []):
-        if not (isinstance(entry, list) and all(isinstance(i, int) for i in entry)):
+        if not (isinstance(entry, list) and all(type(i) is int for i in entry)):
             raise ValueError(f"each 'gamma' entry must be a list of positions, not {entry!r}")
     types = [(str(t), _integer(r, "a Cartan rank")) for t, r in config["types"]]
     central = _integer(config.get("central", 0), "'central'")
@@ -109,13 +124,13 @@ def algebra_from_config(config: dict) -> HeckeAlgebra:
     gamma = [tuple(g) for g in config.get("gamma", [])]
     group = ExtendedWeylGroup(rs, gamma_generators=gamma)
     order = config.get("cyclotomic_order")
-    if order is not None and not (isinstance(order, int) and order >= 1):
+    if order is not None and not (type(order) is int and order >= 1):
         raise ValueError(f"'cyclotomic_order' must be a positive integer, not {order!r}")
     k_values = [parse_scalar(v, order) for v in config["k"]]
     k = ParameterFunction.from_simple_values(group, k_values)
     cocycle_table = config.get("cocycle")
     if cocycle_table is not None:
-        cocycle = Cocycle(group, parse_table(cocycle_table, order))
+        cocycle = Cocycle(group, parse_cocycle(cocycle_table, order))
     else:
         cocycle = Cocycle(group)
     mode = config.get("mode", "generic")

@@ -2,10 +2,17 @@
 Exact scalars: rational numbers and elements of cyclotomic fields Q(zeta_n).
 
 Rationals are plain `fractions.Fraction`.  A `Cyc` is a rational combination
-of powers of a primitive n-th root of unity, stored in canonical form on the
-power basis 1, z, ..., z^(deg-1) after reduction modulo the n-th cyclotomic
-polynomial, so equality is decidable.  The order n is fixed per instance and
-mixing orders raises.
+of powers of a primitive n-th root of unity, stored in canonical form: a
+tuple of deg = phi(n) `Fraction`s on the power basis 1, z, ..., z^(deg-1), so
+equality is decidable.  The order n is fixed per instance and mixing orders
+raises.
+
+Only the constructor `Cyc(n, coeffs)` and `inverse` reduce modulo the n-th
+cyclotomic polynomial; powers and division are built from them.  Sums,
+differences, negations and rational multiples of canonical tuples are
+canonical by construction, and a product of two `Cyc`s folds its powers
+z^deg .. z^(2 deg - 2) back with a table of their canonical forms, built
+once per order.  These results are wrapped unreduced.
 
 >>> z = Cyc.root_of_unity(4)
 >>> z * z
@@ -136,6 +143,9 @@ def cyclotomic_poly(n: int) -> list[Fraction]:
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
 
+_set = object.__setattr__
+
+
 class Cyc:
     """An element of Q(zeta_n) in canonical power-basis form."""
 
@@ -150,8 +160,8 @@ class Cyc:
         if len(cs) >= len(phi):
             _, cs = poly_divmod(cs, phi)
         cs = cs + [Fraction(0)] * (deg - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs[:deg]))
+        _set(self, "order", order)
+        _set(self, "coeffs", tuple(cs[:deg]))
 
     def __setattr__(self, *a):
         raise AttributeError("Cyc is immutable")
@@ -161,42 +171,50 @@ class Cyc:
         power %= order
         return cls(order, [Fraction(0)] * power + [Fraction(1)])
 
-    def _coerce(self, other):
-        if isinstance(other, Cyc):
-            if other.order != self.order:
-                raise ValueError(
-                    f"mixed cyclotomic orders {self.order} and {other.order}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyc(self.order, [frac(other)])
-        return None
+    def _same_order(self, other: "Cyc") -> None:
+        if other.order != self.order:
+            raise ValueError(
+                f"mixed cyclotomic orders {self.order} and {other.order}")
 
     # -- ring structure ----------------------------------------------------
+    # Canonical inputs give canonical sums, negations and rational multiples,
+    # so these wrap their coefficient tuples with `_raw_cyc` unreduced.
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        cs = self.coeffs
+        if isinstance(other, Cyc):
+            self._same_order(other)
+            return _raw_cyc(self.order, tuple([a + b for a, b in zip(cs, other.coeffs)]))
+        if isinstance(other, (int, Fraction)):
+            return _raw_cyc(self.order, (cs[0] + other,) + cs[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.order, [-a for a in self.coeffs])
+        return _raw_cyc(self.order, tuple([-a for a in self.coeffs]))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        cs = self.coeffs
+        if isinstance(other, Cyc):
+            self._same_order(other)
+            return _raw_cyc(self.order, tuple([a - b for a, b in zip(cs, other.coeffs)]))
+        if isinstance(other, (int, Fraction)):
+            return _raw_cyc(self.order, (cs[0] - other,) + cs[1:])
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (int, Fraction)):
+            cs = self.coeffs
+            return _raw_cyc(self.order, (other - cs[0],) + tuple([-a for a in cs[1:]]))
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc(self.order, poly_mul(list(self.coeffs), list(o.coeffs)))
+        if isinstance(other, Cyc):
+            self._same_order(other)
+            return _raw_cyc(self.order, _mul_coeffs(self.order, self.coeffs, other.coeffs))
+        if isinstance(other, (int, Fraction)):
+            return _raw_cyc(self.order, tuple([a * other if a else a for a in self.coeffs]))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -210,10 +228,11 @@ class Cyc:
         return Cyc(self.order, [c / g[0] for c in u])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            other = Cyc(self.order, [other])
+        elif not isinstance(other, Cyc):
             return NotImplemented
-        return self * o.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -232,28 +251,30 @@ class Cyc:
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0]
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        if isinstance(other, Cyc):
+            self._same_order(other)
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
+        return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.rational_value())
+            return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
 
     def __repr__(self):
@@ -265,6 +286,52 @@ class Cyc:
 
     def __str__(self):
         return scalar_str(self)
+
+
+def _raw_cyc(order: int, coeffs: tuple) -> Cyc:
+    """Wrap a coefficient tuple that is already canonical: no reduction, no checks."""
+    out = object.__new__(Cyc)
+    _set(out, "order", order)
+    _set(out, "coeffs", coeffs)
+    return out
+
+
+_FOLD: dict[int, list] = {}
+
+
+def _fold_table(order: int) -> list:
+    """Per power z^i, deg <= i <= 2*deg - 2, its nonzero canonical (index, coefficient) pairs."""
+    if order not in _FOLD:
+        deg = len(cyclotomic_poly(order)) - 1
+        _FOLD[order] = [[(k, c) for k, c in enumerate(Cyc.root_of_unity(order, i).coeffs) if c]
+                        for i in range(deg, 2 * deg - 1)]
+    return _FOLD[order]
+
+
+_ZERO = Fraction(0)
+
+
+def _mul_coeffs(order: int, a: tuple, b: tuple) -> tuple:
+    """Canonical coefficients of a * b: the schoolbook product, then z^i for
+    i >= deg folded back by the table of canonical powers.
+
+    `_ZERO` marks a slot nothing has been added to yet, so no sum starts from 0.
+    """
+    deg = len(a)
+    out = [_ZERO] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    s = out[i + j]
+                    out[i + j] = x * y if s is _ZERO else s + x * y
+    for high, row in zip(out[deg:], _fold_table(order)):
+        if high:
+            for k, t in row:
+                s = out[k]
+                p = high * t
+                out[k] = p if s is _ZERO else s + p
+    return tuple(out[:deg])
 
 
 def scalar_str(value) -> str:

@@ -333,11 +333,14 @@ class EpsilonCharacter:
 # ---------------------------------------------------------------------------
 
 class Cocycle:
-    """A normalized 2-cocycle on Gamma with root-of-unity values.
+    """A 2-cocycle on Gamma, given by its table of scalar values.
 
     The table is indexed by Gamma element positions.  A non-normalized
     cocycle is replaced at construction by the cohomologous normalized one
-    obtained by dividing out the constant value at the identity.
+    obtained by dividing out the constant value at the identity.  `validate`
+    checks only normalization and the cocycle identity: it does not check
+    that the values are roots of unity, or even nonzero.  The CLI rejects
+    zero values when it parses a table (`presets.parse_cocycle`).
     """
 
     def __init__(self, group: ExtendedWeylGroup, table=None, normalize=True):

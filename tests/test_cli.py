@@ -377,6 +377,9 @@ _CLASSIFY_FILE = ["classify", "--preset", "A1", "--module-file", "FILE"]
     pytest.param(["eval", "--algebra-file", "FILE", "x1"],
                  {"types": [["A", 2]], "gamma": [[None, 0]], "k": ["1"]},
                  id="algebra-gamma-position-null"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "gamma": [[True, 0]], "k": ["1"]},
+                 id="algebra-gamma-position-bool"),
     pytest.param(["eval", "--algebra-file", "FILE", "x1"], {"types": [["A", None]], "k": ["1"]},
                  id="algebra-rank-null"),
     pytest.param(["eval", "--algebra-file", "FILE", "x1"],
@@ -386,6 +389,23 @@ _CLASSIFY_FILE = ["classify", "--preset", "A1", "--module-file", "FILE"]
                  id="algebra-order-string"),
     pytest.param(["eval", "--algebra-file", "FILE", "x1"],
                  {"types": [["A", 2]], "cyclotomic_order": 0, "k": ["z"]}, id="algebra-order-zero"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"], {"types": [["A", 2.5]], "k": ["1"]},
+                 id="algebra-rank-fractional"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"], {"types": [["A", True]], "k": ["1"]},
+                 id="algebra-rank-bool"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "central": 1.5, "k": ["1"]}, id="algebra-central-fractional"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "cyclotomic_order": True, "k": ["1"]},
+                 id="algebra-order-bool"),
+    pytest.param(["export", "--preset", "A2flip-tw", "--cocycle-file", "FILE", "structure"],
+                 [["1", "1"], ["1", "0"]], id="cocycle-file-zero-value"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "gamma": [[1, 0]], "k": ["1"],
+                  "cocycle": [["1", "1"], ["1", "0"]]}, id="algebra-cocycle-zero-value"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "gamma": [[1, 0]], "k": ["1"],
+                  "cocycle": [["0", "1"], ["1", "1"]]}, id="algebra-cocycle-zero-at-identity"),
     pytest.param(["params", _SL3_LEVI, "--v", "5"], None, id="v-scalar"),
     pytest.param(["params", _SL3_LEVI, "--v", '{"E12": null}'], None, id="v-null-coordinate"),
     pytest.param(["params", "FILE"], [1], id="lie-fixture-list"),
@@ -401,3 +421,14 @@ def test_malformed_input_exits_2_with_one_line(argv, content, tmp_path, capsys):
         path.write_text(json.dumps(content))
     assert run_cli(*[str(path) if a == "FILE" else a for a in argv]) == 2
     _one_line_error(capsys)
+
+
+def test_integer_strings_and_integral_numbers_still_parse(tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"types": [["A", "2"]], "central": 1.0, "k": ["1"]}))
+    assert run_cli("eval", "--algebra-file", str(path), "x1 * N[s1]") == 0
+    from_file = capsys.readouterr().out
+    path.write_text(json.dumps({"types": [["A", 2]], "central": 1, "k": ["1"]}))
+    assert run_cli("eval", "--algebra-file", str(path), "x1 * N[s1]") == 0
+    assert capsys.readouterr().out == from_file
+

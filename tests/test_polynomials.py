@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedhecke.polynomials import Polynomial, divide_by_linear
+from gradedhecke.polynomials import Polynomial, _accumulate, divide_by_linear
 from gradedhecke.presets import PRESETS, algebra_from_config, build_preset
 from gradedhecke.scalars import Cyc
 
@@ -205,3 +205,51 @@ def test_action_matches_pow_oracle_with_cyclotomic_coefficients():
     _check_against_oracle(
         b2, rng, lambda r: Cyc(3, [Fraction(r.randint(-3, 3), r.randint(1, 3)),
                                    Fraction(r.randint(-3, 3) or 1, r.randint(1, 3))]))
+
+
+@pytest.mark.parametrize("coeff", [0.5, 0.0, 2.0, 1j])
+def test_inexact_coefficients_rejected(coeff):
+    with pytest.raises(TypeError, match="inexact"):
+        Polynomial(2, {(1, 0): coeff})
+    if coeff:
+        with pytest.raises(TypeError, match="inexact"):
+            Polynomial.variable(2, 0) * coeff
+
+
+# --- _accumulate against the fold that seeds every sum with 0 ------------------------------
+
+def _accumulate_from_zero(out, pairs):
+    for e, c in pairs:
+        s = out.get(e, 0) + c
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+_z3 = Cyc.root_of_unity(3)
+small_scalars = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 2)]),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(lambda ab: ab[0] + ab[1] * _z3))
+keys = st.sampled_from([(0,), (1,), (2,)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(keys, small_scalars.filter(bool)), st.lists(st.tuples(keys, small_scalars)))
+def test_accumulate_matches_fold_from_zero(seed, pairs):
+    expected = _accumulate_from_zero(dict(seed), pairs)
+    got = _accumulate(dict(seed), pairs)
+    assert got == expected
+    assert all(got.values())
+
+
+@pytest.mark.parametrize("pairs, expected", [
+    ([((0,), 0)], {}),
+    ([((0,), Fraction(0)), ((0,), 1)], {(0,): 1}),
+    ([((0,), _z3), ((0,), -_z3)], {}),
+    ([((0,), Fraction(1, 2)), ((1,), _z3), ((0,), Fraction(-1, 2)), ((0,), 3)], {(0,): 3, (1,): _z3}),
+])
+def test_accumulate_cancels_and_skips_zero(pairs, expected):
+    assert _accumulate({}, pairs) == expected

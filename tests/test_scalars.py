@@ -2,6 +2,7 @@ import doctest
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedhecke import scalars
 from gradedhecke.scalars import Cyc, cyclotomic_poly, poly_divmod, poly_ext_gcd, poly_mul
@@ -35,8 +36,10 @@ def test_field_arithmetic():
 
 
 def test_mixed_orders_rejected():
-    with pytest.raises(ValueError):
-        Cyc.root_of_unity(3) + Cyc.root_of_unity(4)
+    a, b = Cyc.root_of_unity(3), Cyc.root_of_unity(4)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a == b):
+        with pytest.raises(ValueError):
+            op()
 
 
 def test_rational_detection():
@@ -63,3 +66,75 @@ def test_module_doctests_pass():
     result = doctest.testmod(scalars)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+# --- the constructor is the canonical oracle for the unreduced ring operations ------------
+
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+rationals = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
+                                                       max_denominator=6))
+
+
+@st.composite
+def cyc_pairs(draw):
+    """Two Cyc of one order, each from a raw coefficient list up to twice the degree."""
+    order = draw(st.sampled_from(ORDERS))
+    deg = len(cyclotomic_poly(order)) - 1
+    raw = st.lists(st.one_of(st.just(0), rationals), max_size=2 * deg)
+    return Cyc(order, draw(raw)), Cyc(order, draw(raw))
+
+
+def assert_canonical(result, raw):
+    """result equals Cyc(order, raw) tuple for tuple, with Fraction coefficients of length deg."""
+    assert type(result) is Cyc
+    assert result.coeffs == Cyc(result.order, raw).coeffs
+    assert len(result.coeffs) == len(cyclotomic_poly(result.order)) - 1
+    assert all(type(c) is Fraction for c in result.coeffs)
+
+
+def convolution(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyc_pairs())
+def test_cyc_by_cyc_operations_match_constructor(pair):
+    a, b = pair
+    assert_canonical(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+    assert_canonical(a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+    assert_canonical(-a, [-x for x in a.coeffs])
+    assert_canonical(a * b, convolution(a.coeffs, b.coeffs))
+    assert_canonical(a * a, convolution(a.coeffs, a.coeffs))
+    assert (a == b) == (a.coeffs == b.coeffs)
+    assert bool(a - b) == (a.coeffs != b.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyc_pairs(), rationals)
+def test_cyc_by_rational_operations_match_constructor(pair, r):
+    a, _ = pair
+    first, rest = a.coeffs[0], list(a.coeffs[1:])
+    for result in (a + r, r + a):
+        assert_canonical(result, [first + r] + rest)
+    assert_canonical(a - r, [first - r] + rest)
+    assert_canonical(r - a, [r - first] + [-x for x in rest])
+    for result in (a * r, r * a):
+        assert_canonical(result, [x * r for x in a.coeffs])
+    assert (a == r) == (r == a) == (a.coeffs == Cyc(a.order, [r]).coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORDERS), rationals)
+def test_rational_cyc_equals_hashes_and_tests_as_its_value(order, r):
+    c = Cyc(order, [r])
+    assert c == r and r == c and not (c != r)
+    assert hash(c) == hash(r) == hash(Fraction(r))
+    assert bool(c) == bool(r)
+    assert c.is_zero() == (r == 0)
+    if order > 2:
+        w = c + Cyc.root_of_unity(order)
+        assert w != r and r != w and bool(w)

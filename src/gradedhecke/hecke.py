@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import Polynomial, _accumulate, divide_by_linear
+from .polynomials import Polynomial, _accumulate, _wrap, divide_by_linear
 from .rootdata import RootSystem
 from .weylgroups import Cocycle, EpsilonCharacter, ExtendedWeylGroup, GroupElement, ParameterFunction
 
@@ -185,6 +185,8 @@ class HeckeAlgebra:
         monomial at a time, looked up in the memo and computed by `_step`
         only on a miss.
         """
+        if v.is_identity():
+            return {v.index: p} if p else {}
         times = self.group._times
         steps = self._steps
         letters = v.word + ((self.rs.rank + v.gamma,) if v.gamma else ())
@@ -199,7 +201,7 @@ class HeckeAlgebra:
                     if corr:
                         _accumulate(new.setdefault(ui, {}), ((f, c * m) for f, m in corr.items()))
             state = new
-        return {ui: Polynomial(self.nvars, t) for ui, t in state.items() if t}
+        return {ui: _wrap(self.nvars, t) for ui, t in state.items() if t}
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement") -> "HeckeElement":
         self._assert_mine(a)

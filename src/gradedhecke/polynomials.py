@@ -15,8 +15,9 @@ sum, shared by the ring operations, powers, substitution and division.
 Each public operation wraps its result in a single `Polynomial`, and
 substitution and division build no other.  The constructor checks every
 term (arity, zero, and `TypeError` on a float or complex coefficient); the
-ring operations on two polynomials wrap their term dicts with `_wrap`
-unchecked, since sums, negations and products of checked terms need none.
+ring operations on two polynomials and `scale` by an exact scalar wrap
+their term dicts with `_wrap` unchecked, since sums, negations and
+products of checked terms need none.
 """
 
 from __future__ import annotations
@@ -114,9 +115,12 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c):
+        if isinstance(c, (float, complex)):
+            raise TypeError(f"inexact scalar {c!r}: use int, Fraction or Cyc")
         if c == 0:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
+        # a nonzero exact scalar times a nonzero exact coefficient is nonzero
+        return _wrap(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, m: int):
         if m < 0:

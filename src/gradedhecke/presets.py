@@ -120,6 +120,8 @@ def algebra_from_config(config: dict) -> HeckeAlgebra:
             raise ValueError(f"each 'gamma' entry must be a list of positions, not {entry!r}")
     types = [(str(t), _integer(r, "a Cartan rank")) for t, r in config["types"]]
     central = _integer(config.get("central", 0), "'central'")
+    if central < 0:
+        raise ValueError(f"'central' must be nonnegative, not {central}")
     rs = RootSystem.from_specs(types, central_dim=central)
     gamma = [tuple(g) for g in config.get("gamma", [])]
     group = ExtendedWeylGroup(rs, gamma_generators=gamma)

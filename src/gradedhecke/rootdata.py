@@ -239,15 +239,6 @@ class RootSystem:
     def is_root(self, beta) -> bool:
         return tuple(beta) in self.root_index
 
-    def reflection_matrix(self, i: int):
-        """Matrix of s_{alpha_i} on a^vee (full dim, identity on the centre)."""
-        n = self.dim
-        m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        for j in range(self.rank):
-            # s_i(alpha_j) = alpha_j - C[i][j] alpha_i
-            m[i][j] -= self.cartan[i][j]
-        return tuple(tuple(row) for row in m)
-
     # -- polynomials and points ---------------------------------------------------
     def root_polynomial(self, beta) -> Polynomial:
         """The root as a linear polynomial in x_1..x_dim."""

@@ -2,15 +2,18 @@
 Extended Weyl groups W x| Gamma, 2-cocycles and parameter functions.
 
 Gamma is a group of diagram automorphisms: permutations of the base that
-preserve the Cartan matrix.  Group elements are stored as (reduced word,
-Gamma part, action matrix on a^vee).  Enumeration builds, once, a table of
-right products by each simple reflection and each Gamma element, and a
-table of the permutation of the roots by each element; products, inverses
-and words are walks through the first, and `act_root`, `reflection` and
-root orbits are lookups in the second, so no matrix is multiplied after the
-group is built.  The action matrix serves the actions on points and
-polynomials, and keys `from_key`: the group acts faithfully on the root
-span.
+preserve the Cartan matrix.  Group elements are enumerated as permutations
+of the roots, the representation CHEVIE uses for finite Coxeter groups: a
+BFS over W by right multiplication with the simple reflections, each
+element then taken with each Gamma element.  Enumeration keeps, once, each
+element's root permutation, a table of right products by each simple
+reflection and each Gamma element, and the inverses; products, inverses
+and words are walks through the table, and `act_root`, `reflection` and
+root orbits are lookups in the permutations, so no integer matrix is
+multiplied, during the build or after it.  Each element's action matrix on
+a^vee (its key) is read off its permutation: column j holds the
+coordinates of u(alpha_j), and the central block is the identity.  The key
+serves the actions on points and polynomials and `from_key`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ GROUP_SIZE_CAP = 4096
 class GroupElement:
     """One element of W x| Gamma with a cached reduced word for its W part."""
 
-    key: tuple            # action matrix on a^vee, tuple of int tuples
+    key: tuple            # action matrix on a^vee, read off the root permutation
     word: tuple           # reduced word for the W part, simple-root indices
     gamma: int            # index into the Gamma element list
     index: int = field(compare=False, default=-1)
@@ -60,6 +63,10 @@ def _perm_compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
 
+def _perm_inverse(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
 class ExtendedWeylGroup:
     """W x| Gamma acting on the ambient space of a root system."""
 
@@ -67,11 +74,9 @@ class ExtendedWeylGroup:
                  size_cap: int = GROUP_SIZE_CAP):
         self.rs = root_system
         self.gamma_elements = self._close_gamma([tuple(g) for g in gamma_generators])
-        self._gamma_index = {p: i for i, p in enumerate(self.gamma_elements)}
-        self.size_cap = size_cap
         self.elements: list[GroupElement] = []
         self._by_key: dict[tuple, GroupElement] = {}
-        self._enumerate()
+        self._enumerate(size_cap)
         self.identity = self.elements[0]
 
     # -- Gamma --------------------------------------------------------------------
@@ -103,77 +108,57 @@ class ExtendedWeylGroup:
         rest = sorted(e for e in elems if e != ident)
         return [ident] + rest
 
-    def gamma_matrix(self, gamma_idx: int):
-        """Permutation action on a^vee: alpha_i -> alpha_{perm(i)}, centre fixed."""
-        perm = self.gamma_elements[gamma_idx]
-        n = self.rs.dim
-        m = [[0] * n for _ in range(n)]
-        for i in range(self.rs.rank):
-            m[perm[i]][i] = 1
-        for i in range(self.rs.rank, n):
-            m[i][i] = 1
-        return tuple(tuple(row) for row in m)
-
     # -- enumeration ----------------------------------------------------------------
-    def _enumerate(self):
-        rank, dim = self.rs.rank, self.rs.dim
-        refl = [self.rs.reflection_matrix(i) for i in range(rank)]
-        ident = _identity_matrix(dim)
-        w_elements = {ident: ()}
-        frontier = [ident]
-        frontier_words = [()]
+    def _enumerate(self, size_cap: int):
+        rs = self.rs
+        rank, roots, index = rs.rank, rs.roots, rs.root_index
+        # the generators as root permutations: s_1 .. s_rank, then each Gamma
+        # element, which sends alpha_i to alpha_{perm(i)}
+        gens = [tuple(index[rs.reflect_root(i, b)] for b in roots) for i in range(rank)]
+        for p in self.gamma_elements:
+            inv = _perm_inverse(p)
+            gens.append(tuple(index[tuple(b[i] for i in inv)] for b in roots))
+        # W by BFS; the permutation of u * g is b -> u(g(b))
+        n_gamma = len(self.gamma_elements)
+        w_words = {tuple(range(len(roots))): ()}
+        frontier = list(w_words)
         while frontier:
-            new, new_words = [], []
-            for mat, word in zip(frontier, frontier_words):
+            new = []
+            for perm in frontier:
+                word = w_words[perm]
                 for i in range(rank):
-                    prod = _int_mat_mul(mat, refl[i])
-                    if prod not in w_elements:
-                        w_elements[prod] = word + (i,)
+                    prod = tuple(perm[c] for c in gens[i])
+                    if prod not in w_words:
+                        w_words[prod] = word + (i,)
                         new.append(prod)
-                        new_words.append(word + (i,))
-                        if len(w_elements) * max(1, len(self.gamma_elements)) > self.size_cap:
+                        if len(w_words) * n_gamma > size_cap:
                             raise ValueError("group enumeration exceeded the size cap")
-            frontier, frontier_words = new, new_words
+            frontier = new
 
-        gammas = [self.gamma_matrix(gi) for gi in range(len(self.gamma_elements))]
-        items = sorted((len(word), word, gi, _int_mat_mul(key, gmat))
-                       for key, word in w_elements.items()
-                       for gi, gmat in enumerate(gammas))
-        for pos, (_, word, gi, key) in enumerate(items):
+        items = sorted((len(word), word, gi, tuple(perm[c] for c in gens[rank + gi]))
+                       for perm, word in w_words.items() for gi in range(n_gamma))
+        # _root_perm[u.index][b] = index of u(roots[b]); the key's column j is
+        # u(alpha_j), and u fixes the central block
+        self._root_perm = [perm for *_, perm in items]
+        simple = [index[rs._simple(j)] for j in range(rank)]
+        central = tuple(tuple(int(i == j) for j in range(rs.dim)) for i in range(rank, rs.dim))
+        for pos, (_, word, gi, perm) in enumerate(items):
+            images = [roots[perm[a]] for a in simple]
+            key = tuple(tuple(b[i] for b in images) + (0,) * rs.central_dim
+                        for i in range(rank)) + central
             elt = GroupElement(key=key, word=word, gamma=gi, index=pos)
             self.elements.append(elt)
-            if key in self._by_key:
-                raise ValueError("group does not act faithfully on a")
             self._by_key[key] = elt
         # _times[u.index]: indices of u*s_1 .. u*s_rank, then of u*gamma_gi
-        self._times = [[self._by_key[_int_mat_mul(u.key, g)].index for g in refl + gammas]
-                       for u in self.elements]
-        # (w gamma)^-1 = gamma^-1 w^-1, and w^-1 is the reversed word
-        self._inverses = []
-        for u in self.elements:
-            perm = self.gamma_elements[u.gamma]
-            ginv = self.gamma_element(self._gamma_index[tuple(perm.index(j) for j in range(rank))])
-            self._inverses.append(self._walk(reversed(u.word), start=ginv.index))
-        # _root_perm[u.index][b] = index of u(roots[b]).  Each u != 1 is u' * g
-        # with u' earlier in the order (its word without the last letter, or
-        # without the Gamma part), and u(beta) = u'(g(beta)).
-        roots, index = self.rs.roots, self.rs.root_index
-        gens = [tuple(index[tuple(sum(m[i][j] * b[j] for j in range(rank))
-                                  for i in range(rank))] for b in roots)
-                for m in refl + gammas]
-        self._root_perm = [tuple(range(len(roots)))]
-        for u in self.elements[1:]:
-            if u.gamma:
-                prev, g = self._walk(u.word), rank + u.gamma
-            else:
-                prev, g = self._walk(u.word[:-1]), u.word[-1]
-            perm = self._root_perm[prev.index]
-            self._root_perm.append(tuple(perm[c] for c in gens[g]))
+        position = {perm: pos for pos, perm in enumerate(self._root_perm)}
+        self._times = [[position[tuple(perm[c] for c in g)] for g in gens]
+                       for perm in self._root_perm]
+        self._inverses = [self.elements[position[_perm_inverse(perm)]] for perm in self._root_perm]
         # every root of a reduced system is some u(alpha_i); s_beta = u s_i u^-1
         self._reflections = {}
         for u, perm in zip(self.elements, self._root_perm):
             for i in range(rank):
-                beta = roots[perm[index[self.rs._simple(i)]]]
+                beta = roots[perm[simple[i]]]
                 if beta not in self._reflections:
                     self._reflections[beta] = self.multiply(
                         self.multiply(u, self.simple(i)), self.inverse(u))
@@ -291,17 +276,6 @@ class ExtendedWeylGroup:
 
     def __repr__(self):
         return f"ExtendedWeylGroup({self.describe()}, order {len(self)})"
-
-
-def _identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _int_mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
 
 
 @dataclass(frozen=True)

@@ -396,8 +396,12 @@ _CLASSIFY_FILE = ["classify", "--preset", "A1", "--module-file", "FILE"]
     pytest.param(["eval", "--algebra-file", "FILE", "x1"],
                  {"types": [["A", 2]], "central": 1.5, "k": ["1"]}, id="algebra-central-fractional"),
     pytest.param(["eval", "--algebra-file", "FILE", "x1"],
+                 {"types": [["A", 2]], "central": -1, "k": ["1"]}, id="algebra-central-negative"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"],
                  {"types": [["A", 2]], "cyclotomic_order": True, "k": ["1"]},
                  id="algebra-order-bool"),
+    pytest.param(["eval", "--algebra-file", "FILE", "x1"], {"types": [["A", 12]], "k": ["1"]},
+                 id="algebra-group-size-cap"),
     pytest.param(["export", "--preset", "A2flip-tw", "--cocycle-file", "FILE", "structure"],
                  [["1", "1"], ["1", "0"]], id="cocycle-file-zero-value"),
     pytest.param(["eval", "--algebra-file", "FILE", "x1"],
@@ -432,3 +436,30 @@ def test_integer_strings_and_integral_numbers_still_parse(tmp_path, capsys):
     assert run_cli("eval", "--algebra-file", str(path), "x1 * N[s1]") == 0
     assert capsys.readouterr().out == from_file
 
+
+
+def test_fuzzed_algebra_files_exit_0_or_2_without_traceback(tmp_path, capsys):
+    """Small valid and malformed algebra files never give a traceback."""
+    from hypothesis import given, settings, strategies as st
+
+    junk = st.sampled_from([None, True, False, -1, 0, 5, 2.5, -0.5, "", "A", "z", [0], [1, 2]])
+    pair = st.tuples(st.sampled_from("ABCDEFG"), st.integers(0, 4)).map(list)
+    types = st.one_of(st.lists(pair, max_size=2), st.lists(st.one_of(pair, junk), max_size=2))
+    positions = st.one_of(st.lists(st.integers(-1, 5), max_size=5),
+                          st.integers(1, 4).flatmap(lambda n: st.permutations(range(n))))
+    gamma = st.one_of(st.lists(positions, max_size=2),
+                      st.lists(st.one_of(positions, junk), max_size=2), junk)
+    central = st.one_of(st.integers(0, 2), junk)
+    k = st.lists(st.sampled_from(["1", "2", "1/2"]), max_size=3)
+    path = tmp_path / "algebra.json"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries({"types": types, "k": k},
+                                 optional={"gamma": gamma, "central": central}))
+    def run(config):
+        path.write_text(json.dumps(config))
+        code = run_cli("eval", "--algebra-file", str(path), "x1")
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err, (config, err)
+
+    run()

@@ -216,6 +216,17 @@ def test_inexact_coefficients_rejected(coeff):
             Polynomial.variable(2, 0) * coeff
 
 
+def test_inexact_scalars_rejected_before_the_zero_shortcut():
+    p = Polynomial.variable(2, 0)
+    with pytest.raises(TypeError, match="inexact"):
+        p * 0.0
+    with pytest.raises(TypeError, match="inexact"):
+        0.0 * p
+    with pytest.raises(TypeError, match="inexact"):
+        Polynomial.zero(2) * 0.5
+    assert p * 0 == Polynomial.zero(2) and (p * Fraction(1, 2)).terms == {(1, 0): Fraction(1, 2)}
+
+
 # --- _accumulate against the fold that seeds every sum with 0 ------------------------------
 
 def _accumulate_from_zero(out, pairs):

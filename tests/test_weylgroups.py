@@ -42,11 +42,6 @@ def test_gamma_must_preserve_cartan():
         group([("B", 2)], gamma=[(1, 0)])  # B2 ends have different lengths
 
 
-def test_faithful_action_keys_unique():
-    g = group([("A", 2)], gamma=[(1, 0)])
-    assert len({w.key for w in g.elements}) == len(g)
-
-
 def test_epsilon_characters():
     assert {e.label() for e in group([("A", 1)]).epsilon_characters()} == \
         {"triv", "sgn"}
@@ -122,7 +117,8 @@ def _root_table_group(name):
         return build_preset(name).group
     return {"F4": lambda: group([("F", 4)]),
             "D4xS3": lambda: group([("D", 4)], gamma=[(2, 1, 0, 3), (3, 1, 2, 0)]),
-            "C3+1": lambda: group([("C", 3)], central=1)}[name]()
+            "C3+1": lambda: group([("C", 3)], central=1),
+            "rank0+2": lambda: group([], central=2)}[name]()
 
 
 def _reflection_matrix_oracle(rs, beta):
@@ -137,9 +133,9 @@ def _reflection_matrix_oracle(rs, beta):
     return tuple(tuple(int(x) for x in row) for row in m)
 
 
-def _key_times_root(u, beta):
+def _key_times_root(key, beta):
     return tuple(sum(row[j] * beta[j] for j in range(len(beta)))
-                 for row in u.key[:len(beta)])
+                 for row in key[:len(beta)])
 
 
 def _reflection_classes_oracle(g):
@@ -174,7 +170,7 @@ def _root_orbit_oracle(g, beta):
         new = []
         for b in frontier:
             images = [g.rs.reflect_root(i, b) for i in range(g.rs.rank)]
-            images += [_key_times_root(g.gamma_element(gi), b)
+            images += [_key_times_root(g.gamma_element(gi).key, b)
                        for gi in range(len(g.gamma_elements))]
             for img in images:
                 if img not in seen:
@@ -196,7 +192,7 @@ def test_act_root_matches_the_key_matrix(name):
     g = _root_table_group(name)
     for u in g.elements:
         for beta in g.rs.roots:
-            assert g.act_root(u, beta) == _key_times_root(u, beta)
+            assert g.act_root(u, beta) == _key_times_root(u.key, beta)
 
 
 @pytest.mark.parametrize("name", ROOT_TABLE_SYSTEMS)
@@ -210,6 +206,83 @@ def test_root_orbit_matches_the_closure(name):
     g = _root_table_group(name)
     for beta in g.rs.roots:
         assert g.root_orbit(beta) == _root_orbit_oracle(g, beta)
+
+
+# --- the matrix BFS oracle -------------------------------------------------------
+
+GROUP_ORACLE_SYSTEMS = ROOT_TABLE_SYSTEMS + ["rank0+2"]
+
+
+def _gamma_matrix(g, gi):
+    """Permutation action on a^vee: alpha_i -> alpha_{perm(i)}, centre fixed."""
+    perm, n = g.gamma_elements[gi], g.rs.dim
+    m = [[int(a == b and a >= len(perm)) for b in range(n)] for a in range(n)]
+    for i, p in enumerate(perm):
+        m[p][i] = 1
+    return tuple(map(tuple, m))
+
+
+def _matrix_bfs_oracle(g):
+    """(key, word, gamma, index) of each element, `_times`, the inverse indices,
+    `_root_perm` and `_reflections` (root -> index), all from integer matrices."""
+    rs = g.rs
+    rank = rs.rank
+    refl = [_reflection_matrix_oracle(rs, rs._simple(i)) for i in range(rank)]
+    gammas = [_gamma_matrix(g, gi) for gi in range(len(g.gamma_elements))]
+    ident = gammas[0]  # Gamma element 0 is the identity
+    w_words = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for mat in frontier:
+            for i in range(rank):
+                prod = _key_product(mat, refl[i])
+                if prod not in w_words:
+                    w_words[prod] = w_words[mat] + (i,)
+                    new.append(prod)
+        frontier = new
+    items = sorted((len(word), word, gi, _key_product(key, gmat))
+                   for key, word in w_words.items() for gi, gmat in enumerate(gammas))
+    elements = [(key, word, gi, pos) for pos, (_, word, gi, key) in enumerate(items)]
+    by_key = {key: pos for key, _, _, pos in elements}
+    assert len(by_key) == len(elements)
+    times = [[by_key[_key_product(key, m)] for m in refl + gammas] for key, *_ in elements]
+    # (w gamma)^-1 = gamma^-1 w^-1, and w^-1 is the reversed word
+    inverses = []
+    for _, word, gi, _ in elements:
+        perm = g.gamma_elements[gi]
+        inv = gammas[g.gamma_elements.index(tuple(perm.index(j) for j in range(rank)))]
+        for i in reversed(word):
+            inv = _key_product(inv, refl[i])
+        inverses.append(by_key[inv])
+    root_perm = [tuple(rs.root_index[_key_times_root(key, b)] for b in rs.roots)
+                 for key, *_ in elements]
+    reflections = {}
+    for key, _, _, pos in elements:
+        for i in range(rank):
+            beta = _key_times_root(key, rs._simple(i))
+            if beta not in reflections:
+                conj = _key_product(_key_product(key, refl[i]), elements[inverses[pos]][0])
+                reflections[beta] = by_key[conj]
+    return elements, times, inverses, root_perm, reflections
+
+
+@pytest.mark.parametrize("name", GROUP_ORACLE_SYSTEMS)
+def test_group_tables_match_the_matrix_bfs(name):
+    g = _root_table_group(name)
+    elements, times, inverses, root_perm, reflections = _matrix_bfs_oracle(g)
+    assert [(u.key, u.word, u.gamma, u.index) for u in g.elements] == elements
+    assert g._times == times
+    assert [u.index for u in g._inverses] == inverses
+    assert g._root_perm == root_perm
+    assert [(b, u.index) for b, u in g._reflections.items()] == list(reflections.items())
+
+
+@pytest.mark.parametrize("name", GROUP_ORACLE_SYSTEMS)
+def test_faithful_action_keys_unique(name):
+    g = _root_table_group(name)
+    assert len({w.key for w in g.elements}) == len(g)
+    assert all(g.from_key(w.key) is w for w in g.elements)
 
 
 # --- cocycles ----------------------------------------------------------------

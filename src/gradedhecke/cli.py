@@ -23,7 +23,7 @@ from .modules import FiniteDimModule, classify_rank_one, weight_decomposition, \
 from .polynomials import Polynomial
 from .presets import PRESETS, build_preset, load_algebra_file, parse_cocycle, parse_scalar, \
     parse_table
-from .scalars import scalar_str
+from .scalars import divide_scalar, scalar_str
 from .verification import ALL_SUITES, run_verification
 
 __all__ = ["main"]
@@ -242,7 +242,7 @@ def _structure_constants(algebra: HeckeAlgebra, degree_cap: int):
     """Products of all PBW basis elements up to the polynomial degree cap.
 
     The table is bilinear.  With {t: q_t} the result of moving x^a through
-    N_v (`_move_poly`),
+    N_v (`_move_poly`, its numerators divided by its denominator),
 
         (N_u x^a)(N_v x^b) = sum_t c(u, v) N_{u t} q_t x^b,
 
@@ -269,9 +269,13 @@ def _structure_constants(algebra: HeckeAlgebra, degree_cap: int):
     labels = [_word_label(algebra, w) for w in elements]
     basis = [(w, e) for w in elements for e in monomials]
     # (a, v.index) -> [(t, sorted terms of q_t)], every move the table needs
-    moves = {(a, v.index): [(elements[ti], sorted(q.terms.items())) for ti, q in
-                            algebra._move_poly(Polynomial(nv, {a: Fraction(1)}), v).items()]
-             for a in monomials for v in elements}
+    moves = {}
+    for a in monomials:
+        for v in elements:
+            den, moved = algebra._move_poly(Polynomial(nv, {a: Fraction(1)}), v)
+            moves[a, v.index] = [(elements[ti], sorted((e, divide_scalar(n, den))
+                                                       for e, n in q.items()))
+                                 for ti, q in moved.items()]
     # (a, v.index, u.gamma) -> [(t, [(exponent, coefficient string)])]
     formatted: dict[tuple, list] = {}
     entries = []

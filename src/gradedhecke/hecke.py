@@ -14,10 +14,13 @@ different reduced words give the same product is a tested property.
 
 The exchange step is linear in p, so it is memoized per monomial: each
 instance keeps a private dict from (exponent tuple, generator index) to the
-moved monomial and its correction, filled lazily on first use.  A product
-then only looks up and sums scaled rows.  The memo depends on k and the
-mode, so it lives on the instance and is never shared: `with_k` and
-`crossed_product` build new instances, which start with an empty memo.
+moved monomial and its correction as numerators over one denominator,
+filled lazily on first use.  A product runs on numerators over one common
+denominator, ints on rational data and `Cyc`s on cyclotomic data in the
+same loops, and forms one `Fraction` (or one `Cyc`) per output coefficient
+at the end.  The memo depends on k and the mode, so it lives on the
+instance and is never shared: `with_k` and `crossed_product` build new
+instances, which start with an empty memo.
 
 Modes:
   * "generic" - r is a polynomial variable, the algebra is graded;
@@ -29,9 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .polynomials import Polynomial, _accumulate, _wrap, divide_by_linear
 from .rootdata import RootSystem
+from .scalars import divide_scalar, split_scalar
 from .weylgroups import Cocycle, EpsilonCharacter, ExtendedWeylGroup, GroupElement, ParameterFunction
 
 __all__ = ["HeckeAlgebra", "HeckeElement", "Grading", "TensorElement"]
@@ -67,8 +73,8 @@ class HeckeAlgebra:
         self._simple_polys = [self.rs.root_polynomial(self.rs._simple(i))
                               for i in range(self.rs.rank)]
         self._k_simple = [k(self.rs._simple(i)) for i in range(self.rs.rank)]
-        # (exponent tuple, generator index) -> (moved, corr) term dicts; see _step
-        self._steps: dict[tuple, tuple[dict, dict]] = {}
+        # (exponent tuple, generator index) -> (den, moved, corr); see _step
+        self._steps: dict[tuple, tuple[int, tuple, tuple]] = {}
 
     # -- identity and compatibility ------------------------------------------------
     def compatible(self, other: "HeckeAlgebra") -> bool:
@@ -160,8 +166,9 @@ class HeckeAlgebra:
         return Polynomial(self.nvars, {e[:-1] + (e[-1] + 1,): ki * c
                                        for e, c in delta.terms.items()})
 
-    def _step(self, e: tuple, j: int) -> tuple[dict, dict]:
-        """Compute and memoize the term dicts (moved, corr) of x^e * N_j.
+    def _step(self, e: tuple, j: int) -> tuple[int, tuple, tuple]:
+        """Compute and memoize x^e * N_j as (den, moved, corr), (exponent,
+        numerator) pairs over den.
 
         For a simple reflection, j < rank:  x^e N_{s_j} = N_{s_j} moved + corr,
         with moved = ^{s_j} x^e and corr = k(alpha_j) r (x^e - moved) / alpha_j.
@@ -171,57 +178,78 @@ class HeckeAlgebra:
         mono = Polynomial(self.nvars, {e: Fraction(1)})
         if j < self.rs.rank:
             moved = group.act_polynomial(group.simple(j), mono)
-            entry = (moved.terms, self._correction(j, mono, moved).terms)
+            corr = self._correction(j, mono, moved).terms
         else:
             ginv = group.inverse(group.gamma_element(j - self.rs.rank))
-            entry = (group.act_polynomial(ginv, mono).terms, {})
-        self._steps[e, j] = entry
+            moved, corr = group.act_polynomial(ginv, mono), {}
+        den, moved, corr = _numerators(moved.terms, corr)
+        entry = self._steps[e, j] = (den, tuple(moved.items()), tuple(corr.items()))
         return entry
 
-    def _move_poly(self, p: Polynomial, v: GroupElement) -> dict[int, Polynomial]:
-        """Rewrite p * N_v as sum_u N_u q_u; returns {u.index: q_u}.
+    def _move_poly(self, p: Polynomial, v: GroupElement) -> tuple[int, dict[int, dict]]:
+        """Rewrite p * N_v as sum_u N_u q_u; returns (den, {u.index: numerators
+        of q_u over den}).
 
         The exchange step is linear in p, so each letter of v moves p one
         monomial at a time, looked up in the memo and computed by `_step`
-        only on a miss.
+        only on a miss.  Each letter rescales by the lcm of the step
+        denominators it meets.
         """
+        den, terms = _numerators(p.terms)
         if v.is_identity():
-            return {v.index: p} if p else {}
+            return den, ({v.index: terms} if terms else {})
         times = self.group._times
         steps = self._steps
         letters = v.word + ((self.rs.rank + v.gamma,) if v.gamma else ())
-        state = {self.group.identity.index: p.terms}
+        state = {self.group.identity.index: terms}
         for j in letters:
             new: dict[int, dict] = {}
+            scale = 1
             for ui, terms in state.items():
                 ti = times[ui][j]
                 for e, c in terms.items():
-                    moved, corr = steps.get((e, j)) or self._step(e, j)
-                    _accumulate(new.setdefault(ti, {}), ((f, c * m) for f, m in moved.items()))
+                    d, moved, corr = steps.get((e, j)) or self._step(e, j)
+                    if scale % d:
+                        new, scale = _over_lcm(new, scale, d)
+                    if d != scale:
+                        c = c * (scale // d)
+                    _accumulate(new.setdefault(ti, {}), [(f, c * m) for f, m in moved])
                     if corr:
-                        _accumulate(new.setdefault(ui, {}), ((f, c * m) for f, m in corr.items()))
+                        _accumulate(new.setdefault(ui, {}), [(f, c * m) for f, m in corr])
             state = new
-        return {ui: _wrap(self.nvars, t) for ui, t in state.items() if t}
+            den *= scale
+        return den, {ui: t for ui, t in state.items() if t}
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement") -> "HeckeElement":
+        """a * b on numerators over one running lcm denominator, divided out
+        once per output coefficient."""
         self._assert_mine(a)
         self._assert_mine(b)
         group = self.group
-        acc: dict[int, Polynomial] = {}
+        elements = group.elements
+        qs = [(elements[bi], *_numerators(q.terms)) for bi, q in b.terms.items()]
+        den = 1
+        acc: dict[int, dict] = {}
         for ai, p in a.terms.items():
-            u = group.elements[ai]
-            for bi, q in b.terms.items():
-                v = group.elements[bi]
-                twist = self.cocycle.value(u, v)
-                for ti, m in self._move_poly(p, v).items():
-                    t = group.elements[ti]
-                    w = group.multiply(u, t)
-                    piece = (m * q).scale(twist) if twist != 1 else m * q
-                    if w.index in acc:
-                        acc[w.index] = acc[w.index] + piece
-                    else:
-                        acc[w.index] = piece
-        return HeckeElement(self, {i: p for i, p in acc.items() if p})
+            u = elements[ai]
+            for v, dq, q in qs:
+                f, td = split_scalar(self.cocycle.value(u, v))
+                if not f:
+                    continue
+                dm, moved = self._move_poly(p, v)
+                d = dm * dq * td
+                if den % d:
+                    acc, den = _over_lcm(acc, den, d)
+                if d != den:
+                    f = f * (den // d)
+                fq = q.items() if f == 1 else [(e, c * f) for e, c in q.items()]
+                for ti, m in moved.items():
+                    _accumulate(acc.setdefault(group.multiply(u, elements[ti]).index, {}),
+                                [(tuple(map(add, e1, e2)), c1 * c2)
+                                 for e1, c1 in m.items() for e2, c2 in fq])
+        return HeckeElement(self, {w: _wrap(self.nvars, {e: divide_scalar(n, den)
+                                                         for e, n in t.items()})
+                                   for w, t in acc.items() if t})
 
     def _assert_mine(self, a: "HeckeElement"):
         if not self.compatible(a.algebra):
@@ -540,6 +568,20 @@ class HeckeElement:
 
     def __repr__(self):
         return f"HeckeElement({self.to_string()})"
+
+
+def _numerators(*term_dicts) -> tuple:
+    """(den, {exponent: n}, ...): each coefficient of each term dict as n / den,
+    den the lcm of their denominators."""
+    splits = [[(e, *split_scalar(c)) for e, c in t.items()] for t in term_dicts]
+    den = lcm(*(d for s in splits for _, _, d in s))
+    return (den, *({e: n if d == den else n * (den // d) for e, n, d in s} for s in splits))
+
+
+def _over_lcm(state: dict, den: int, d: int) -> tuple[dict, int]:
+    """Numerator dicts over den brought over lcm(den, d); returns (state, lcm)."""
+    grow = lcm(den, d) // den
+    return {k: {e: n * grow for e, n in t.items()} for k, t in state.items()}, den * grow
 
 
 def _variable_names(alg: HeckeAlgebra) -> list[str]:

@@ -107,6 +107,8 @@ class RootSystem:
 
     def __init__(self, cartan: list[list[int]], central_dim: int = 0,
                  components: list[CartanSpec] | None = None):
+        if isinstance(central_dim, bool) or not isinstance(central_dim, int) or central_dim < 0:
+            raise ValueError(f"central_dim must be a nonnegative integer, not {central_dim!r}")
         rank = len(cartan)
         for i, row in enumerate(cartan):
             if len(row) != rank or row[i] != 2:

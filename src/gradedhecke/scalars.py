@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Fraction", "frac", "Cyc", "scalar_str", "cyclotomic_poly"]
+__all__ = ["Fraction", "frac", "Cyc", "scalar_str", "cyclotomic_poly",
+           "split_scalar", "divide_scalar"]
 
 
 def frac(x) -> Fraction:
@@ -39,6 +40,22 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
+
+
+def split_scalar(c) -> tuple:
+    """A pair (n, d) with c = n / d and d a positive int: a `Fraction` gives
+    its numerator and denominator, an `int` or a `Cyc` itself over 1."""
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    return c, 1
+
+
+def divide_scalar(n, d: int):
+    """n / d for a numerator from `split_scalar`: a `Fraction` for an int n,
+    n times 1/d for a `Cyc`."""
+    if isinstance(n, int):
+        return Fraction(n) if d == 1 else Fraction(n, d)
+    return n if d == 1 else n * Fraction(1, d)
 
 
 # ---------------------------------------------------------------------------

@@ -463,3 +463,51 @@ def test_fuzzed_algebra_files_exit_0_or_2_without_traceback(tmp_path, capsys):
         assert code in (0, 2) and "Traceback" not in err, (config, err)
 
     run()
+
+
+def test_fuzzed_eval_exit_0_or_2_without_traceback(capsys):
+    """Presets, `--k` values and element expressions never give a traceback.
+
+    The expressions never contain '^' on purpose: the parser has no bound on
+    an exponent, so `x ^ 99999999` still runs for as long as the product
+    takes (ROADMAP item 6), and that bound needs its own design.
+    """
+    from hypothesis import given, settings, strategies as st
+
+    from gradedhecke.presets import PRESETS
+
+    number = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["1/3", "-5/2", "4/6"]))
+    bad_number = st.sampled_from(["1/0", "0/0", "-1/0", "", "abc", "z", "1.5", "1//2", "1/",
+                                  "/2", "--1"])
+    good_k = st.lists(number, min_size=1, max_size=2)
+    k = st.one_of(good_k, good_k, st.lists(st.one_of(number, bad_number), min_size=1,
+                                           max_size=3)).map(",".join)
+    atom = st.sampled_from(["x", "x1", "x2", "r", "N[e]", "N[s]", "N[s1]", "N[s2]",
+                            "N[s2*s1]", "N[s1*s2*s1]", "N[g1]", "N[s1*g1]", "1/2", "3",
+                            "(-5/2)", "0", "IM(x1*N[s1])", "sgn(N[s1]*x2)", "(x1 - N[s2])"])
+    junk = st.sampled_from(["N[", "]", "(", ")", "*", "+", "-", "x3", "x9", "s1", "N[s9]",
+                            "N[g5]", "IM(", "sgn", "foo", "@", "7/0", "1/", "N[s1**s2]", "",
+                            "x1 x2"])
+
+    def joined(part):
+        return st.lists(part, min_size=1, max_size=3).flatmap(
+            lambda parts: st.sampled_from([" + ".join(parts), " - ".join(parts),
+                                           "*".join(parts)]))
+
+    good_expression = joined(joined(atom))
+    expression = st.one_of(good_expression, good_expression,
+                           joined(joined(st.one_of(atom, junk))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(PRESETS)), k, expression)
+    def run(preset, k_text, text):
+        try:
+            code = run_cli("eval", "--preset", preset, "--k=" + k_text, text)
+        except SystemExit as exit:  # argparse, e.g. on an expression that starts with '-'
+            code = exit.code
+        captured = capsys.readouterr()
+        assert code in (0, 2) and "Traceback" not in captured.err, (preset, k_text, text)
+        if code == 0:
+            assert captured.out.count("\n") == 1
+
+    run()

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from gradedhecke.hecke import HeckeAlgebra
-from gradedhecke.polynomials import Polynomial
+from gradedhecke.hecke import HeckeAlgebra, HeckeElement
+from gradedhecke.polynomials import Polynomial, _accumulate, _wrap
 from gradedhecke.presets import PRESETS, algebra_from_config, build_preset
 from gradedhecke.rootdata import RootSystem
-from gradedhecke.scalars import Cyc
+from gradedhecke.scalars import Cyc, divide_scalar
 from gradedhecke.verification import invariant_polynomials, random_element, \
     random_homogeneous_element
 from gradedhecke.weylgroups import Cocycle, ExtendedWeylGroup, ParameterFunction
@@ -387,11 +387,18 @@ def _fraction(rng):
     return Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
 
 
+def _divided(H, moved):
+    """{u: q_u} from the (den, {u: numerators}) that `_move_poly` returns."""
+    den, state = moved
+    return {ui: Polynomial(H.nvars, {e: divide_scalar(n, den) for e, n in t.items()})
+            for ui, t in state.items()}
+
+
 def _check_move_poly(H, rng, coefficient, polys_per_element=2):
     for v in H.group.elements:
         for _ in range(polys_per_element):
             p = _random_poly(H, rng, coefficient)
-            assert H._move_poly(p, v) == _move_poly_oracle(H, p, v)
+            assert _divided(H, H._move_poly(p, v)) == _move_poly_oracle(H, p, v)
 
 
 def _in_mode(name, mode):
@@ -445,7 +452,8 @@ def test_moved_terms_keep_the_gamma_part(name):
     H = build_preset(name)
     rng = random.Random(f"gamma-part-{name}")
     for v in H.group.elements:
-        for ti in H._move_poly(_random_poly(H, rng, _fraction), v):
+        _, moved = H._move_poly(_random_poly(H, rng, _fraction), v)
+        for ti in moved:
             assert H.group.elements[ti].gamma == v.gamma
 
 
@@ -480,3 +488,125 @@ def test_step_memo_never_serves_a_dropped_algebra():
         for p, v in cases:
             assert (H.poly(p) * H.N(v)).terms == _move_poly_oracle(H, p, v)
         del H
+
+
+# --- straightening on numerators against the Fraction path ---------------------------------
+
+def _step_oracle(H, e, j):
+    """Term dicts (moved, corr) of x^e * N_j with `Fraction` coefficients."""
+    group = H.group
+    mono = Polynomial(H.nvars, {e: Fraction(1)})
+    if j < H.rs.rank:
+        moved = group.act_polynomial(group.simple(j), mono)
+        return moved.terms, H._correction(j, mono, moved).terms
+    ginv = group.inverse(group.gamma_element(j - H.rs.rank))
+    return group.act_polynomial(ginv, mono).terms, {}
+
+
+def _move_poly_fraction_path(H, p, v, steps):
+    """p * N_v on `Fraction` coefficients, with the step memo `steps`."""
+    if v.is_identity():
+        return {v.index: p} if p else {}
+    times = H.group._times
+    letters = v.word + ((H.rs.rank + v.gamma,) if v.gamma else ())
+    state = {H.group.identity.index: p.terms}
+    for j in letters:
+        new = {}
+        for ui, terms in state.items():
+            ti = times[ui][j]
+            for e, c in terms.items():
+                if (e, j) not in steps:
+                    steps[e, j] = _step_oracle(H, e, j)
+                moved, corr = steps[e, j]
+                _accumulate(new.setdefault(ti, {}), ((f, c * m) for f, m in moved.items()))
+                if corr:
+                    _accumulate(new.setdefault(ui, {}), ((f, c * m) for f, m in corr.items()))
+        state = new
+    return {ui: _wrap(H.nvars, t) for ui, t in state.items() if t}
+
+
+def _multiply_oracle(H, a, b):
+    """a * b with every intermediate coefficient a `Fraction` (or `Cyc`):
+    each piece (m * q).scale(twist) is a polynomial, summed per group element."""
+    group = H.group
+    steps = {}
+    acc = {}
+    for ai, p in a.terms.items():
+        u = group.elements[ai]
+        for bi, q in b.terms.items():
+            v = group.elements[bi]
+            twist = H.cocycle.value(u, v)
+            for ti, m in _move_poly_fraction_path(H, p, v, steps).items():
+                w = group.multiply(u, group.elements[ti])
+                piece = (m * q).scale(twist) if twist != 1 else m * q
+                acc[w.index] = acc[w.index] + piece if w.index in acc else piece
+    return HeckeElement(H, {i: p for i, p in acc.items() if p})
+
+
+def _random_element(H, rng, coefficient):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        w = rng.choice(H.group.elements).index
+        p = _random_poly(H, rng, coefficient)
+        terms[w] = terms[w] + p if w in terms else p
+    return H.from_terms(terms)
+
+
+def _check_multiply(H, rng, coefficient, products=12):
+    for _ in range(products):
+        a, b = _random_element(H, rng, coefficient), _random_element(H, rng, coefficient)
+        got, want = H.multiply(a, b), _multiply_oracle(H, a, b)
+        assert got.terms == want.terms
+        assert got.to_string() == want.to_string()
+
+
+def _with_cocycle(H, rows):
+    cocycle = Cocycle(H.group, [[Fraction(v) for v in row] for row in rows], normalize=False)
+    return HeckeAlgebra(H.group, H.k, cocycle, mode=H.mode)
+
+
+def _cyc3(rng):
+    return Cyc(3, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                   Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))])
+
+
+@pytest.mark.parametrize("mode", ["generic", "r1", "k0"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_multiply_matches_fraction_path(name, mode):
+    H = _in_mode(name, mode)
+    _check_multiply(H, random.Random(f"multiply-{name}-{mode}"), _fraction)
+
+
+@pytest.mark.parametrize("mode", ["generic", "r1", "k0"])
+def test_multiply_matches_fraction_path_cyclotomic(mode):
+    H = algebra_from_config({"types": [["B", 2]], "k": ["z", "1"],
+                             "cyclotomic_order": 3, "mode": "r1" if mode == "r1" else "generic"})
+    if mode == "k0":
+        H = H.crossed_product()
+    _check_multiply(H, random.Random(f"multiply-cyc-{mode}"), _cyc3)
+
+
+@pytest.mark.parametrize("mode", ["generic", "r1"])
+def test_multiply_matches_fraction_path_fractional_steps(mode):
+    H = build_preset("B2", k=["1/3", "5/2"], mode=mode)
+    _check_multiply(H, random.Random(f"multiply-third-{mode}"), _fraction)
+    _check_move_poly(H, random.Random(f"move-third-{mode}"), _fraction)
+    # the steps above were stored over a denominator, not on integers alone
+    assert any(den != 1 for den, _, _ in H._steps.values())
+
+
+@pytest.mark.parametrize("twist", ["2", "1/2", "0"])
+def test_multiply_matches_fraction_path_cocycle_values(twist):
+    H = _with_cocycle(build_preset("A2flip-tw"), [[1, 1], [1, twist]])
+    _check_multiply(H, random.Random(f"multiply-cocycle-{twist}"), _fraction)
+    g = H.N(H.group.gamma_element(1))
+    assert (g * g).to_string() == ("0" if twist == "0" else f"N[e]*({twist})")
+
+
+@pytest.mark.parametrize("name", ["A1", "B2", "A2flip-tw"])
+def test_multiply_matches_fraction_path_int_coefficients(name):
+    H = build_preset(name)
+    _check_multiply(H, random.Random(f"multiply-int-{name}"), lambda rng: rng.randint(-4, 4) or 1)
+    e = H.from_terms({H.group.identity: Polynomial(H.nvars, {(0,) * H.nvars: 3})})
+    assert (e * e).terms == _multiply_oracle(H, e, e).terms
+    assert all(type(c) is Fraction for q in (e * e).terms.values() for c in q.terms.values())

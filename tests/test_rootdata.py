@@ -128,3 +128,16 @@ def test_unsupported_type():
 def test_component_ranks_must_sum_to_rank(ranks):
     with pytest.raises(ValueError, match="component ranks"):
         RootSystem(cartan_matrix("B", 2), components=[CartanSpec("B", r) for r in ranks])
+
+
+@pytest.mark.parametrize("central_dim", [-1, -3, 1.5, Fraction(1), True, "1", None])
+def test_central_dim_must_be_a_nonnegative_integer(central_dim):
+    # -1 used to build a system with dim 1 and nvars 2 without complaint
+    with pytest.raises(ValueError, match="central_dim"):
+        RootSystem.from_specs([("A", 2)], central_dim=central_dim)
+
+
+@pytest.mark.parametrize("central_dim", [0, 2])
+def test_central_dim_adds_coordinates(central_dim):
+    rs = RootSystem.from_specs([("A", 2)], central_dim=central_dim)
+    assert (rs.dim, rs.nvars) == (2 + central_dim, 3 + central_dim)

@@ -18,8 +18,8 @@ from .hecke import HeckeAlgebra
 from .homology import ext_self_induced, koszul_dual_dims
 from .lie import CuspidalSupportDescriptor, RootGradedLieAlgebra, build_sl, build_so, \
     build_sp, compute_parameters, f4_ratio_admissible, support_weyl_data
-from .modules import FiniteDimModule, classify_rank_one, weight_decomposition, \
-    zeta_rank_one
+from .modules import FiniteDimModule, classify_rank_one, generator_keys, \
+    weight_decomposition, zeta_rank_one
 from .polynomials import Polynomial
 from .presets import PRESETS, build_preset, load_algebra_file, parse_cocycle, parse_scalar, \
     parse_table
@@ -170,13 +170,13 @@ def _classify_module_file(args) -> int:
             raise ValueError('a module file must be a JSON object with a list "x" '
                              'and an object "N"')
         x_mats = [parse_table(m) for m in data["x"]]
-        if len(x_mats) != algebra.rs.dim:
-            raise ValueError(f"module file has {len(x_mats)} x matrices, "
-                             f"the algebra needs {algebra.rs.dim}")
+        keys = generator_keys(algebra)
         gens = {}
         for name, m in data["N"].items():
-            kind, idx = name[:1], int(name[1:])
-            gens[(kind, idx if kind == "g" else idx - 1)] = parse_table(m)
+            if name not in keys:
+                raise ValueError(f"no generator {name!r} on this algebra; "
+                                 f"its generators are {', '.join(keys)}")
+            gens[keys[name]] = parse_table(m)
         module = FiniteDimModule(algebra, x_mats, gens,
                                  r_value=parse_scalar(data.get("r", 1)))
     except (OSError, KeyError, ValueError) as err:

@@ -13,7 +13,10 @@ multiplicity, which is all the restriction functor ever needs here.  Block
 data: idempotent, field degree g, matrix size d, with
 trace_regular(e) = g * d^2.
 
-The group-size cap keeps everything comfortably exact.
+The group-size cap keeps everything comfortably exact.  Coefficient
+vectors and the cocycle values are rational, and they meet `linalg` as
+`linalg.Matrix` values; a cocycle with a `Cyc` value is rejected with a
+ValueError.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import coordinates, identity, mat_mul, nullspace, split_space, trace, transpose
+from .linalg import Matrix, block_matrix, coordinates, mat_mul, matrix, nullspace, \
+    split_space, trace, transpose
 from .weylgroups import Cocycle, ExtendedWeylGroup
 
 __all__ = ["TwistedGroupAlgebra", "IrreducibleBlock"]
@@ -57,6 +61,9 @@ class TwistedGroupAlgebra:
                 f"group of order {len(group)} exceeds the cap {GROUP_ALGEBRA_CAP}")
         self.group = group
         self.cocycle = cocycle or Cocycle(group)
+        if not all(isinstance(v, (int, Fraction)) for row in self.cocycle.table for v in row):
+            raise ValueError("a twisted group algebra needs rational cocycle values, "
+                             "ints or Fractions")
         self.n = len(group)
         self._mult = self._multiplication_table()
         self.center = self._center_basis()
@@ -105,24 +112,26 @@ class TwistedGroupAlgebra:
                 idx2, c2 = self._mult[gi][v]
                 m[idx2][v] -= c2
             rows.extend(m)
-        return nullspace(rows)
+        return nullspace(matrix(rows))
 
     def _center_operators(self):
         """Multiplication by each centre basis vector, on centre coordinates."""
-        basis = self.center
+        basis = self.center.fractions()
         m = len(basis)
-        prods = coordinates(basis, [self.product_vector(a, b) for a in basis for b in basis])
+        prods = coordinates(self.center, matrix([self.product_vector(a, b)
+                                                 for a in basis for b in basis]))
         # column j of operator i: the coordinates of z_i z_j
-        return [transpose(prods[i * m:(i + 1) * m]) for i in range(m)]
+        return [transpose(Matrix(prods[i * m:(i + 1) * m], prods.den)) for i in range(m)]
 
     def _split_blocks(self, operators):
-        pieces = [identity(len(self.center))]
+        pieces = [None]  # row spans in centre coordinates; None is all of Z
         for op in operators:
             pieces = [rows for piece in pieces for _, rows in split_space(op, piece)]
         # each piece is an ideal Z e; e is the component of 1 in it
-        ideals = [mat_mul(rows, self.center) for rows in pieces]
-        one, = coordinates([v for ideal in ideals for v in ideal],
-                           [_basis_vector(self.n, self.group.identity.index)])
+        ideals = [self.center if rows is None else mat_mul(rows, self.center)
+                  for rows in pieces]
+        unit = Matrix([[int(w.is_identity()) for w in self.group.elements]])
+        (one,) = coordinates(block_matrix([[ideal] for ideal in ideals]), unit).fractions()
         blocks = []
         start = 0
         for ideal in ideals:
@@ -131,7 +140,7 @@ class TwistedGroupAlgebra:
                 raise ValueError(
                     "a block requires splitting a number field of degree > 3; "
                     "outside the supported twisted-character scope")
-            vec = mat_mul([one[start:start + gdeg]], ideal)[0]
+            vec = mat_mul(matrix([one[start:start + gdeg]]), ideal).fractions()[0]
             start += gdeg
             tr = self.n * vec[self.group.identity.index]
             d2 = Fraction(tr, gdeg)
@@ -168,12 +177,13 @@ class TwistedGroupAlgebra:
     def multiplicities(self, matrices: dict[int, list]) -> list[Fraction]:
         """Multiplicity of each block in a module given by N_w matrices.
 
-        `matrices` maps every group element index to its action matrix.  For
+        `matrices` maps every group element index to its action matrix, a
+        `linalg.Matrix` or rows of ints and Fractions.  For
         field degree g the reported number is the common multiplicity of the
         g conjugate irreducibles.
         """
         # tr(sum c_w M_w) = sum c_w tr(M_w): one trace per group element
-        traces = {wi: trace(m) for wi, m in matrices.items()}
+        traces = {wi: trace(matrix(m)) for wi, m in matrices.items()}
         out = []
         for b in self.blocks:
             tr = sum((c * traces[wi] for wi, c in enumerate(b.idempotent) if c), Fraction(0))
@@ -182,12 +192,6 @@ class TwistedGroupAlgebra:
                 raise ValueError(f"non-integral multiplicity {mult} for block {b.index}")
             out.append(mult)
         return out
-
-
-def _basis_vector(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
 
 
 def _exact_sqrt(x: Fraction) -> int:

@@ -19,7 +19,10 @@ Three pipelines, all exact:
   and verifying that every induced differential vanishes, which leaves
   binomial(d + 1, n) * |W x| Gamma| in degree n.
 
-All matrix work, on scalar and on polynomial entries, goes through `linalg`.
+Scalar matrices are `linalg.Matrix` values, integer rows over one
+denominator, and all their work goes through `linalg`.  The one product of
+polynomial-entry matrices, the symbolic d . d = 0 check of
+`ChainComplex.validate`, is `_poly_mat_mul` here.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from itertools import combinations
 from math import comb
 
 from .hecke import HeckeAlgebra
-from .linalg import block_matrix, identity, mat_add, mat_mul, mat_scale, mat_sub, rank, \
-    zero_matrix
+from .linalg import block_matrix, identity, mat_add, mat_mul, mat_scale, mat_sub, matrix, \
+    rank, zero_matrix
 from .modules import FiniteDimModule, action_matrix, induce_from_character, is_regular
 from .polynomials import Polynomial
 
@@ -43,7 +46,11 @@ __all__ = [
 
 @dataclass
 class ChainComplex:
-    """Free modules with polynomial differentials, d: C_n -> C_{n-1}."""
+    """Free modules with differentials d: C_n -> C_{n-1}.
+
+    The entries are Polynomials, or, after `evaluate`, scalars held as
+    `linalg.Matrix` values, whose homology `homology_dims` reads off ranks.
+    """
 
     ranks: list[int]
     differentials: list            # differentials[n]: C_{n+1} -> C_n as a matrix
@@ -54,19 +61,14 @@ class ChainComplex:
         for n in range(len(self.differentials) - 1):
             a = self.differentials[n]          # C_{n+1} -> C_n
             b = self.differentials[n + 1]      # C_{n+2} -> C_{n+1}
-            if not a or not b:
-                continue
-            prod = mat_mul(a, b)
-            for row in prod:
-                for entry in row:
-                    if entry:
-                        raise ValueError("d . d != 0 in the complex")
+            if a and b and any(any(row) for row in _poly_mat_mul(a, b)):
+                raise ValueError("d . d != 0 in the complex")
 
     def evaluate(self, point) -> "ChainComplex":
         """Substitute exact scalars for the variables."""
         diffs = []
         for m in self.differentials:
-            diffs.append([[p.evaluate(point) for p in row] for row in m])
+            diffs.append(matrix([[p.evaluate(point) for p in row] for row in m]))
         return ChainComplex(self.ranks, diffs, nvars=0)
 
     def homology_dims(self) -> list[int]:
@@ -90,6 +92,14 @@ class ChainComplex:
             diffs.append([[p.to_string(names) if hasattr(p, "to_string") else str(p)
                            for p in row] for row in m])
         return {"ranks": list(self.ranks), "differentials": diffs}
+
+
+def _poly_mat_mul(a, b):
+    """Product of two nonempty matrices of Polynomial entries, skipping zero entries."""
+    zero = a[0][0] - a[0][0]
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col) if x and y), zero) for col in cols]
+            for row in a]
 
 
 @dataclass
@@ -220,7 +230,7 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
     mod = module or induce_from_character(base, weight, r_value)
     n = mod.dim
     # commuting operators: X_i - weight_i, and R - r_value (always zero here)
-    ops = [mat_sub(mod.x[i], mat_scale(identity(n), Fraction(weight[i])))
+    ops = [mat_sub(mod.x_matrices[i], mat_scale(identity(n), Fraction(weight[i])))
            for i in range(algebra.rs.dim)]
     ops.append(zero_matrix(n, n))
     dims = _koszul_cohomology_dims(ops)
@@ -228,7 +238,7 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
 
 
 def _koszul_cohomology_dims(ops) -> list[int]:
-    """dim H^t(Hom(K, M)) for t = 0..m, for m commuting operators on M.
+    """dim H^t(Hom(K, M)) for t = 0..m, for m commuting `linalg.Matrix` operators on M.
 
     K (x) M comes from `_koszul_differentials` with each entry c*x_i
     replaced by the block c*ops[i]; d . d = 0 is checked, and self-duality
@@ -241,10 +251,13 @@ def _koszul_cohomology_dims(ops) -> list[int]:
     def block(entry):
         out = zero
         for e, c in entry.terms.items():
-            out = mat_add(out, mat_scale(ops[e.index(1)], c))
+            term = mat_scale(ops[e.index(1)], c)
+            out = term if out is zero else mat_add(out, term)
         return out
 
     blocks = [block_matrix([[block(p) for p in row] for row in d]) for d in diffs]
+    for a, b in zip(blocks, blocks[1:]):
+        if any(any(row) for row in mat_mul(a, b)):
+            raise ValueError("d . d != 0 in the complex")
     complex_ = ChainComplex([comb(m, t) * n for t in range(m + 1)], blocks, nvars=0)
-    complex_.validate()
     return complex_.homology_dims()[::-1]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import coordinates, identity, mat_mul, mat_sub, nullspace, rref, transpose
+from .linalg import coordinates, identity, mat_mul, mat_sub, matrix, nullspace, rref, transpose
 from .rootdata import RootSystem
 from .weylgroups import ExtendedWeylGroup, ParameterFunction
 
@@ -215,14 +215,15 @@ def _ad_on_span(L, vvec, idxs):
                 raise ValueError("ad(v) does not preserve the restricted root space")
             col[pos[t]] = c
         cols.append(col)
-    return transpose(cols)
+    return transpose(matrix(cols))
 
 
 def _nilpotency_degree(m) -> int | None:
     """Smallest e with m^e = 0, or None when m is not nilpotent."""
+    m = matrix(m)
     power = identity(len(m))
     for e in range(len(m) + 1):
-        if all(all(x == 0 for x in row) for row in power):
+        if not any(any(row) for row in power):
             return e
         power = mat_mul(power, m)
     return None
@@ -378,7 +379,7 @@ def _form_basis(n, J):
                 # (J X)[a][b] = sum_t J[a][t] X[t][b]
                 row[t * n + b] += J[a][t]
             rows.append(row)
-    basis = nullspace(rows)
+    basis = nullspace(matrix(rows)).fractions()
     mats = []
     for idx, v in enumerate(basis):
         m = [[v[i * n + j] for j in range(n)] for i in range(n)]
@@ -399,7 +400,8 @@ def _from_matrices(n, named_mats, levi_blocks) -> RootGradedLieAlgebra:
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     flat = [[x for row in _commutator(mats[i], mats[j]) for x in row] for i, j in pairs]
     try:
-        expansions = coordinates([[x for row in m for x in row] for m in mats], flat)
+        expansions = coordinates(matrix([[x for row in m for x in row] for m in mats]),
+                                 matrix(flat)).fractions()
     except ValueError:
         raise ValueError("bracket left the span of the basis") from None
     brackets = {}
@@ -427,7 +429,8 @@ def _from_matrices(n, named_mats, levi_blocks) -> RootGradedLieAlgebra:
 
 
 def _commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    a, b = matrix(a), matrix(b)
+    return mat_sub(mat_mul(a, b), mat_mul(b, a)).fractions()
 
 
 def _torus_basis(n, mats, block_of):
@@ -449,10 +452,10 @@ def _torus_basis(n, mats, block_of):
         row += [-fb[coord] for fb in flat_basis]
         rows.append(row)
     t_solutions = []
-    for v in nullspace(rows):
+    for v in nullspace(matrix(rows)).fractions():
         t_solutions.append(v[:nblocks])
-    t_rows, _ = rref(t_solutions)
-    t_rows = [r for r in t_rows if any(c != 0 for c in r)]
+    t_rows, pivots = rref(matrix(t_solutions))
+    t_rows = t_rows.fractions()[:len(pivots)]
     combos = []
     for t in t_rows:
         m = [[Fraction(0)] * n for _ in range(n)]

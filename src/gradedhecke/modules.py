@@ -11,8 +11,11 @@ Induction from a character of the polynomial part produces the module with
 basis {N_w (x) 1}; its matrices come straight from the straightening kernel,
 so every test on induced modules exercises the multiplication too.
 
-All matrix work goes through `linalg`.  Modules are rational: an algebra
-with a cyclotomic order is rejected with a ValueError.
+All matrix work goes through `linalg`, and a module holds its matrices as
+`linalg.Matrix` values, integer rows over one denominator: `x_matrices`,
+`generator_matrices` and `action(w)`.  `x`, `generators` and `group_matrix`
+read them back as rows of Fractions.  Modules are rational: an algebra with
+a cyclotomic order is rejected with a ValueError.
 """
 
 from __future__ import annotations
@@ -22,15 +25,15 @@ from fractions import Fraction
 
 from .groupalgebra import TwistedGroupAlgebra
 from .hecke import HeckeAlgebra
-from .linalg import char_poly, coordinates, identity, mat_add, mat_mul, mat_scale, mat_sub, \
-    mat_vec, nullspace, split_space, transpose, zero_matrix
+from .linalg import char_poly, identity, mat_add, mat_mul, mat_scale, mat_sub, matrix, \
+    nullspace, restrict, split_space, transpose, zero_matrix
 from .polynomials import Polynomial
 
 __all__ = [
     "FiniteDimModule", "WeightDatum", "induce_from_character",
     "weight_decomposition", "is_tempered", "is_essentially_discrete_series",
     "restrict_to_group_algebra", "classify_rank_one", "zeta_rank_one",
-    "RankOneRecord",
+    "RankOneRecord", "generator_keys",
 ]
 
 FULL_VALIDATION_CAP = 16
@@ -47,47 +50,92 @@ class WeightDatum:
         return f"WeightDatum({tuple(str(c) for c in self.weight)}, mult={self.multiplicity})"
 
 
+def generator_keys(algebra: HeckeAlgebra) -> dict:
+    """Generator names s1, s2, ..., g1, ... to the keys of a module's generator matrices."""
+    keys = {f"s{i + 1}": ("s", i) for i in range(algebra.rs.rank)}
+    keys.update({f"g{gi}": ("g", gi) for gi in range(1, len(algebra.group.gamma_elements))})
+    return keys
+
+
 class FiniteDimModule:
-    """Exact matrices for the generators of H(t, W x| Gamma, k, natural)."""
+    """Exact matrices for the generators of H(t, W x| Gamma, k, natural).
+
+    `x_matrices` holds one square matrix per coordinate, and
+    `group_matrices` one per key of `generator_keys`, each a list of rows
+    of ints and Fractions (or a `linalg.Matrix`).  A missing or unknown
+    generator, a wrong count of x matrices and a matrix of the wrong shape
+    raise ValueError.
+    """
 
     def __init__(self, algebra: HeckeAlgebra, x_matrices, group_matrices,
                  r_value=Fraction(1), validate=True):
         _require_rational(algebra)
         self.algebra = algebra
-        self.dim = len(x_matrices[0]) if x_matrices else len(next(iter(group_matrices.values())))
-        self.x = [_as_matrix(m) for m in x_matrices]
+        if len(x_matrices) != algebra.rs.dim:
+            raise ValueError(f"the module has {len(x_matrices)} x matrices, "
+                             f"the algebra needs {algebra.rs.dim}")
+        names = {key: name for name, key in generator_keys(algebra).items()}
+        for key in group_matrices:
+            if key not in names:
+                raise ValueError(f"the algebra has no generator {key!r}")
+        for key, name in names.items():
+            if key not in group_matrices:
+                raise ValueError(f"no matrix for the generator {name}")
+        first = x_matrices[0] if x_matrices else next(iter(group_matrices.values()), [])
+        if not isinstance(first, (list, tuple)):
+            raise ValueError("module matrices must be lists of rows")
+        self.dim = len(first)
+        self.x_matrices = [self._square(m, f"x{i + 1}") for i, m in enumerate(x_matrices)]
+        self.generator_matrices = {key: self._square(m, names[key])
+                                   for key, m in group_matrices.items()}
         self.r_value = Fraction(r_value)
-        # generator matrices: one per simple reflection, one per Gamma generator index
-        self.generators = {key: _as_matrix(m) for key, m in group_matrices.items()}
-        self._group_cache: dict[int, list] = {}
+        self._actions: dict[int, object] = {}
         if validate:
             problems = self.validate()
             if problems:
                 raise ValueError(f"module relations fail: {problems[0]}")
 
-    # -- generator access -------------------------------------------------------------
-    def simple_matrix(self, i: int):
-        return self.generators[("s", i)]
+    def _square(self, m, name):
+        n = self.dim
+        if not isinstance(m, (list, tuple)) or len(m) != n \
+                or not all(isinstance(row, (list, tuple)) and len(row) == n for row in m):
+            raise ValueError(f"the matrix of {name} must be {n} x {n}, the module's dimension")
+        return matrix(m)
 
-    def gamma_matrix(self, gi: int):
-        if gi == 0:
-            return identity(self.dim)
-        return self.generators[("g", gi)]
+    # -- the matrices, read as Fractions ----------------------------------------------
+    @property
+    def x(self) -> list:
+        return [m.fractions() for m in self.x_matrices]
+
+    @property
+    def generators(self) -> dict:
+        return {key: m.fractions() for key, m in self.generator_matrices.items()}
 
     def group_matrix(self, w) -> list:
-        """Matrix of N_w assembled along the cached reduced word."""
-        if w.index in self._group_cache:
-            return self._group_cache[w.index]
-        m = identity(self.dim)
-        for i in w.word:
-            m = mat_mul(m, self.simple_matrix(i))
-        if w.gamma:
-            m = mat_mul(m, self.gamma_matrix(w.gamma))
-        self._group_cache[w.index] = m
-        return m
+        """Matrix of N_w, as rows of Fractions."""
+        return self.action(w).fractions()
 
-    def all_group_matrices(self) -> dict[int, list]:
-        return {w.index: self.group_matrix(w) for w in self.algebra.group.elements}
+    def action(self, w):
+        """The Matrix of N_w, built once as its cached prefix's matrix times one generator.
+
+        Cached reduced words are prefix-closed, so this is the product of the
+        generator matrices along w.word, then the Gamma generator.
+        """
+        m = self._actions.get(w.index)
+        if m is None:
+            group = self.algebra.group
+            if w.is_identity():
+                m = identity(self.dim)
+            else:
+                if w.gamma:
+                    prefix = group.word_element(w.word)
+                    gen = self.generator_matrices[("g", w.gamma)]
+                else:
+                    prefix = group.word_element(w.word[:-1])
+                    gen = self.generator_matrices[("s", w.word[-1])]
+                m = gen if prefix.is_identity() else mat_mul(self.action(prefix), gen)
+            self._actions[w.index] = m
+        return m
 
     def linear_poly_matrix(self, poly: Polynomial):
         """Action matrix of a linear polynomial in the coordinates and r."""
@@ -99,7 +147,7 @@ class FiniteDimModule:
             elif deg != 1:
                 raise ValueError("only linear polynomials here")
             elif e.index(1) < self.algebra.rs.dim:
-                base = self.x[e.index(1)]
+                base = self.x_matrices[e.index(1)]
             else:
                 base = mat_scale(identity(self.dim), self.r_value)
             out = mat_add(out, mat_scale(base, c))
@@ -111,18 +159,19 @@ class FiniteDimModule:
         alg = self.algebra
         rs = alg.rs
         d = rs.dim
+        x = self.x_matrices
         # commuting coordinates
         for i in range(d):
             for j in range(i + 1, d):
-                if mat_mul(self.x[i], self.x[j]) != mat_mul(self.x[j], self.x[i]):
+                if mat_mul(x[i], x[j]) != mat_mul(x[j], x[i]):
                     problems.append(f"x{i + 1} and x{j + 1} do not commute")
         # braid relation  N_s X(xi) - X(^s xi) N_s = k r X(Demazure xi)
         for i in range(rs.rank):
             s = alg.group.simple(i)
-            ns = self.simple_matrix(i)
+            ns = self.generator_matrices[("s", i)]
             for j in range(d):
                 xi = Polynomial.variable(alg.nvars, j)
-                lhs = mat_mul(ns, self.x[j])
+                lhs = mat_mul(ns, x[j])
                 moved = alg.group.act_polynomial(s, xi)
                 rhs = mat_mul(self.linear_poly_matrix(moved), ns)
                 delta = alg._demazure(i, xi)  # a constant for linear xi
@@ -133,10 +182,10 @@ class FiniteDimModule:
         # Gamma conjugation: N_g X(xi) = X(^g xi) N_g
         for gi in range(1, len(alg.group.gamma_elements)):
             g = alg.group.gamma_element(gi)
-            ng = self.gamma_matrix(gi)
+            ng = self.generator_matrices[("g", gi)]
             for j in range(d):
                 xi = Polynomial.variable(alg.nvars, j)
-                lhs = mat_mul(ng, self.x[j])
+                lhs = mat_mul(ng, x[j])
                 rhs = mat_mul(self.linear_poly_matrix(alg.group.act_polynomial(g, xi)), ng)
                 if lhs != rhs:
                     problems.append(f"gamma conjugation fails for g{gi}, x{j + 1}")
@@ -147,13 +196,11 @@ class FiniteDimModule:
         elements = alg.group.elements if len(alg.group) <= FULL_VALIDATION_CAP \
             else [alg.group.identity] + gens
         for g in gens:
-            mg = self.group_matrix(g)
+            mg = self.action(g)
             for v in elements:
-                mv = self.group_matrix(v)
                 w = alg.group.multiply(g, v)
-                c = alg.cocycle.value(g, v)
-                target = mat_scale(self.group_matrix(w), c)
-                if mat_mul(mg, mv) != target:
+                target = mat_scale(self.action(w), alg.cocycle.value(g, v))
+                if mat_mul(mg, self.action(v)) != target:
                     problems.append(f"group law fails at {g!r} * {v!r}")
                     break
         return problems
@@ -162,17 +209,13 @@ class FiniteDimModule:
         """Pull back along phi_eps: scale every N generator matrix by eps."""
         target = self.algebra.with_k(self.algebra.k.twisted(eps))
         gens = {}
-        for (kind, i), m in self.generators.items():
+        for (kind, i), m in self.generator_matrices.items():
             sign = eps(self.algebra.group.simple(i)) if kind == "s" else 1
-            gens[(kind, i)] = mat_scale(m, Fraction(sign))
-        return FiniteDimModule(target, [m for m in self.x], gens, self.r_value)
+            gens[(kind, i)] = mat_scale(m, sign)
+        return FiniteDimModule(target, self.x_matrices, gens, self.r_value)
 
     def __repr__(self):
         return f"FiniteDimModule(dim={self.dim} over {self.algebra.describe()})"
-
-
-def _as_matrix(m):
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in m]
 
 
 def _require_rational(algebra: HeckeAlgebra):
@@ -214,16 +257,15 @@ def action_matrix(algebra: HeckeAlgebra, element, point):
     """Left multiplication by `element` on the basis {N_w (x) 1}.
 
     Column w is the normal form of element * N_w with its polynomial
-    coefficients evaluated at `point` (coordinate values, then r).
+    coefficients evaluated at `point` (coordinate values, then r), as rows
+    of scalars: Fractions, or `Cyc`s over a cyclotomic algebra.
     """
     n = len(algebra.group)
-    cols = []
+    rows = [[0] * n for _ in range(n)]
     for w in algebra.group.elements:
-        col = [Fraction(0)] * n
         for ui, p in algebra.multiply(element, algebra.N(w)).terms.items():
-            col[ui] = p.evaluate(point)
-        cols.append(col)
-    return transpose(cols)
+            rows[ui][w.index] = p.evaluate(point)
+    return rows
 
 
 def weight_multiset_oracle(algebra: HeckeAlgebra, weight) -> list[tuple]:
@@ -251,22 +293,22 @@ def weight_decomposition(module: FiniteDimModule) -> list[WeightDatum]:
     coordinate matrix has an irrational eigenvalue.
     """
     n = module.dim
-    spaces = [(identity(n), ())]  # (basis rows of the subspace, partial weight)
-    for xi in module.x:
+    # (basis rows of the subspace, None for the whole space; partial weight)
+    spaces = [(None, ())]
+    for xi in module.x_matrices:
         new_spaces = []
         for basis, partial in spaces:
             for lam, sub in split_space(xi, basis):
                 if lam is None:
-                    op = transpose(coordinates(basis, [mat_vec(xi, v) for v in basis]))
                     raise ValueError(
                         "irrational weight detected; characteristic polynomial "
-                        f"coefficients {[str(c) for c in char_poly(op)]}")
+                        f"coefficients {[str(c) for c in char_poly(restrict(xi, basis))]}")
                 new_spaces.append((sub, partial + (lam,)))
         spaces = new_spaces
     out: dict[tuple, int] = {}
     for basis, weight in spaces:
         full = weight + tuple(Fraction(0) for _ in range(module.algebra.rs.dim - len(weight)))
-        out[full] = out.get(full, 0) + len(basis)
+        out[full] = out.get(full, 0) + (n if basis is None else len(basis))
     data = [WeightDatum(w, m) for w, m in sorted(out.items()) if m]
     assert sum(d.multiplicity for d in data) == n
     return data
@@ -298,7 +340,8 @@ def restrict_to_group_algebra(module: FiniteDimModule,
                               table: TwistedGroupAlgebra | None = None):
     """Multiplicity of each irreducible block in the restricted module."""
     table = table or TwistedGroupAlgebra(module.algebra.group, module.algebra.cocycle)
-    mults = table.multiplicities(module.all_group_matrices())
+    mults = table.multiplicities({w.index: module.action(w)
+                                  for w in module.algebra.group.elements})
     return table, [int(m) for m in mults]
 
 
@@ -379,11 +422,13 @@ def _record(label, module) -> RankOneRecord:
 
 def _has_one_dim_submodule(module: FiniteDimModule) -> bool:
     """Exact search for a common eigenvector of x and the N generators."""
+    ns = module.generator_matrices[("s", 0)]
     for datum in weight_decomposition(module):
-        # eigenvectors for each x-eigenvalue
-        shifted = mat_sub(module.x[0], mat_scale(identity(module.dim), datum.weight[0]))
-        for v in nullspace(shifted):
-            img = mat_vec(module.simple_matrix(0), v)
+        # eigenvectors for each x-eigenvalue, as rows, and their images under N_s
+        shifted = mat_sub(module.x_matrices[0],
+                          mat_scale(identity(module.dim), datum.weight[0]))
+        kernel = nullspace(shifted)
+        for v, img in zip(kernel, mat_mul(kernel, transpose(ns))):
             # img proportional to v?
             pivot = next((i for i, c in enumerate(v) if c), None)
             if pivot is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import coordinates
+from .linalg import coordinates, matrix
 from .polynomials import Polynomial
 
 __all__ = ["RootSystem", "CartanSpec", "cartan_matrix", "ConePosition"]
@@ -262,8 +262,7 @@ class RootSystem:
             raise ValueError(f"point has {len(point)} coordinates, want {self.dim}")
         root_part = [Fraction(c) for c in point[: self.rank]]
         # alpha_i(sum_j t_j alpha_j^vee) = sum_j t_j <alpha_i, alpha_j^vee>
-        coeffs, = coordinates([[Fraction(c) for c in row] for row in self.cartan],
-                              [root_part])
+        coeffs, = coordinates(matrix(self.cartan), matrix([root_part])).fractions()
         return ConePosition(tuple(coeffs), tuple(Fraction(c) for c in point[self.rank:]))
 
     def in_obtuse_negative_cone(self, point) -> tuple[bool, bool]:

@@ -98,17 +98,6 @@ def poly_divmod(p, q):
     return poly_trim(quo), r
 
 
-def poly_gcd(p, q):
-    a, b = poly_trim(list(p)), poly_trim(list(q))
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def poly_ext_gcd(p, q):
     """Return (g, u, v) with u*p + v*q = g, g monic."""
     a, b = poly_trim(list(p)), poly_trim(list(q))

@@ -418,6 +418,15 @@ _CLASSIFY_FILE = ["classify", "--preset", "A1", "--module-file", "FILE"]
     pytest.param(_CLASSIFY_FILE, {"x": [[[1]]], "N": {"s1": [[1]]}, "r": "1/0"},
                  id="module-r-zero-denominator"),
     pytest.param(_CLASSIFY_FILE, {"x": [], "N": {}}, id="module-without-matrices"),
+    pytest.param(_CLASSIFY_FILE, {"x": [[[1]]], "N": {"s1": [[1, 0], [0, 1]]}},
+                 id="module-generator-wrong-size"),
+    pytest.param(_CLASSIFY_FILE, {"x": [[[1], [2]]], "N": {"s1": [[-1]]}},
+                 id="module-x-not-square"),
+    pytest.param(_CLASSIFY_FILE, {"x": [[[-1]]], "N": {"s1": [[-1]], "q7": [[5]]}},
+                 id="module-unknown-generator"),
+    pytest.param(_CLASSIFY_FILE, {"x": [[[-1]]], "N": {"s1": [[-1]], "g1": [[1]]}},
+                 id="module-gamma-generator-without-gamma"),
+    pytest.param(_CLASSIFY_FILE, {"x": [[[-1]]], "N": {}}, id="module-missing-generator"),
 ])
 def test_malformed_input_exits_2_with_one_line(argv, content, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -425,6 +434,20 @@ def test_malformed_input_exits_2_with_one_line(argv, content, tmp_path, capsys):
         path.write_text(json.dumps(content))
     assert run_cli(*[str(path) if a == "FILE" else a for a in argv]) == 2
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"x": [[[1]]], "N": {"s1": [[1, 0], [0, 1]]}}, "s1 must be 1 x 1"),
+    ({"x": [[[1], [2]]], "N": {"s1": [[-1]]}}, "x1 must be 2 x 2"),
+    ({"x": [[[-1]]], "N": {"s1": [[-1]], "q7": [[5]]}}, "no generator 'q7'"),
+    ({"x": [[[-1]]], "N": {"s1": [[-1]], "g1": [[1]]}}, "no generator 'g1'"),
+    ({"x": [[[-1]]], "N": {}}, "no matrix for the generator s1"),
+])
+def test_module_file_shape_errors_name_the_generator(content, message, tmp_path, capsys):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(content))
+    assert run_cli("classify", "--preset", "A1", "--module-file", str(path)) == 2
+    assert message in _one_line_error(capsys)
 
 
 def test_integer_strings_and_integral_numbers_still_parse(tmp_path, capsys):
@@ -509,5 +532,66 @@ def test_fuzzed_eval_exit_0_or_2_without_traceback(capsys):
         assert code in (0, 2) and "Traceback" not in captured.err, (preset, k_text, text)
         if code == 0:
             assert captured.out.count("\n") == 1
+
+    run()
+
+
+def test_fuzzed_module_files_exit_0_or_2_without_traceback(tmp_path, capsys):
+    """Module files with mixed shapes, junk and fractional scalars and stray generators.
+
+    Most files name the preset's generators, give it its number of x
+    matrices and make every matrix square of one drawn size, so that many
+    get past parsing to the shape and relation checks.  Every run must exit
+    0 or 2 with no traceback, and an error is one line.
+    """
+    from hypothesis import given, settings, strategies as st
+
+    # preset -> (x matrices, generator names)
+    presets = {"A1": (1, ["s1"]), "A2": (2, ["s1", "s2"]), "B2": (2, ["s1", "s2"]),
+               "A1xA1swap": (2, ["s1", "s2", "g1"])}
+    junk = st.sampled_from([None, True, "", "a", "1/0", [], {}, "z", [[None]]])
+    clean = st.sampled_from([0, 0, 0, 1, -1, 2, -2])
+    dirty = st.one_of(clean, st.sampled_from(["1/2", "-3/2", 0.5, 2.0]), junk)
+    stray = st.sampled_from(["s3", "g1", "g2", "s0", "g0", "q7", "s", "", "S1"])
+
+    @st.composite
+    def module_file(draw):
+        preset = draw(st.sampled_from(sorted(presets)))
+        dim, names = presets[preset]
+        n = draw(st.integers(0, 3))
+        scalar = draw(st.sampled_from([clean, clean, clean, dirty]))
+
+        def table():
+            shape = draw(st.sampled_from(["square"] * 8 + ["resized", "ragged", "junk"]))
+            if shape == "junk":
+                return draw(junk)
+            rows = n if shape == "square" else draw(st.sampled_from([n + 1, max(n - 1, 0)]))
+            cols = [draw(st.sampled_from([n, n + 1])) if shape == "ragged" else n
+                    for _ in range(rows)]
+            return [[draw(scalar) for _ in range(c)] for c in cols]
+
+        count = draw(st.sampled_from([dim] * 5 + [0, dim + 1]))
+        gens = {name: table() for name in names if draw(st.integers(0, 9))}
+        gens.update({draw(stray): table() for _ in range(draw(st.sampled_from([0, 0, 0, 1])))})
+        content = {"x": [table() for _ in range(count)], "N": gens}
+        if not draw(st.integers(0, 9)):
+            content[draw(st.sampled_from(["x", "N"]))] = draw(junk)
+        if draw(st.booleans()):
+            content["r"] = draw(dirty)
+        return preset, content
+
+    path = tmp_path / "module.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(module_file())
+    def run(case):
+        preset, content = case
+        path.write_text(json.dumps(content))
+        code = run_cli("classify", "--preset", preset, "--module-file", str(path))
+        captured = capsys.readouterr()
+        assert code in (0, 2) and "Traceback" not in captured.err, case
+        if code == 2:
+            err = captured.err.strip()
+            assert err and "\n" not in err, err
 
     run()

@@ -168,3 +168,15 @@ def test_characters_match_the_product_oracle(preset):
             assert b.character == _character_oracle(table, b)
         else:
             assert b.character == {}
+
+
+@pytest.mark.parametrize("entry", ["z", "-1"])
+def test_cyclotomic_cocycle_rejected_before_linear_algebra(entry):
+    """A `Cyc`-valued cocycle gives one ValueError, not a TypeError from linalg."""
+    from gradedhecke.scalars import Cyc
+
+    H = build_preset("A2flip-tw")
+    value = Cyc.root_of_unity(4) if entry == "z" else Cyc(4, [Fraction(-1)])
+    one = Cyc(4, [Fraction(1)])
+    with pytest.raises(ValueError, match="rational cocycle values"):
+        TwistedGroupAlgebra(H.group, Cocycle(H.group, [[one, one], [one, value]]))

@@ -5,9 +5,10 @@ from math import comb
 
 import pytest
 
-from gradedhecke.homology import _koszul_cohomology_dims, ext_self_induced, \
+from gradedhecke.homology import _koszul_cohomology_dims, _poly_mat_mul, ext_self_induced, \
     generic_point_exactness, koszul_dual_dims, koszul_resolution, projective_resolution_H0
-from gradedhecke.linalg import identity, mat_add, mat_mul, mat_scale, rank, zero_matrix
+from gradedhecke.linalg import identity, mat_add, mat_mul, mat_scale, matrix, rank, zero_matrix
+from gradedhecke.polynomials import Polynomial
 from gradedhecke.presets import build_preset
 from gradedhecke.rootdata import RootSystem
 from gradedhecke.weylgroups import ExtendedWeylGroup, ParameterFunction
@@ -70,8 +71,10 @@ def cochain_dims_oracle(ops):
     """dim H^t of the Koszul cochain complex on M, built subset by subset.
 
     delta(v, S) = sum over i not in S of sign * (A_i v, S + i), the sign
-    being (-1) to the position of i in S + i.
+    being (-1) to the position of i in S + i.  The operators are
+    `linalg.Matrix` values; the oracle works on their Fraction entries.
     """
+    ops = [op.fractions() for op in ops]
     n, m = len(ops[0]), len(ops)
     levels = [list(combinations(range(m), t)) for t in range(m + 1)]
     index = [{s: i for i, s in enumerate(level)} for level in levels]
@@ -90,15 +93,15 @@ def cochain_dims_oracle(ops):
                         mat[iT * n + a][jS * n + b] += sign * ops[i][a][b]
         deltas.append(mat)
     for t in range(m - 1):
-        assert not any(any(row) for row in mat_mul(deltas[t + 1], deltas[t]))
-    ranks = [rank(d) for d in deltas] + [0]
+        assert not any(any(row) for row in mat_mul(matrix(deltas[t + 1]), matrix(deltas[t])))
+    ranks = [rank(matrix(d)) for d in deltas] + [0]
     return [len(levels[t]) * n - ranks[t] - (ranks[t - 1] if t else 0)
             for t in range(m + 1)]
 
 
 def test_koszul_builder_matches_cochain_oracle_on_an_asymmetric_row():
-    e12 = [[Fraction(int((a, b) == (0, 1))) for b in range(3)] for a in range(3)]
-    e13 = [[Fraction(int((a, b) == (0, 2))) for b in range(3)] for a in range(3)]
+    e12 = matrix([[Fraction(int((a, b) == (0, 1))) for b in range(3)] for a in range(3)])
+    e13 = matrix([[Fraction(int((a, b) == (0, 2))) for b in range(3)] for a in range(3)])
     assert cochain_dims_oracle([e12, e13]) == [1, 3, 2]
     assert _koszul_cohomology_dims([e12, e13]) == [1, 3, 2]
 
@@ -108,7 +111,8 @@ def test_koszul_builder_matches_cochain_oracle_on_random_commuting_ops():
     rng = random.Random(11)
     for case in range(30):
         n = rng.randint(2, 4)
-        base = [[Fraction(rng.choice([0, 0, 1, -1, 2])) for _ in range(n)] for _ in range(n)]
+        base = matrix([[Fraction(rng.choice([0, 0, 1, -1, 2])) for _ in range(n)]
+                       for _ in range(n)])
         ops = []
         for _ in range(rng.randint(1, 3)):
             if case % 2:
@@ -116,8 +120,8 @@ def test_koszul_builder_matches_cochain_oracle_on_random_commuting_ops():
                 for p in (identity(n), base, mat_mul(base, base)):
                     op = mat_add(op, mat_scale(p, Fraction(rng.randint(-2, 2))))
             else:
-                op = zero_matrix(n, n)
-                op[0][1:] = [Fraction(rng.randint(-2, 2)) for _ in range(n - 1)]
+                op = matrix([[0] + [Fraction(rng.randint(-2, 2)) for _ in range(n - 1)]]
+                            + [[0] * n for _ in range(n - 1)])
             ops.append(op)
         assert _koszul_cohomology_dims(ops) == cochain_dims_oracle(ops)
 
@@ -201,3 +205,31 @@ def test_resolution_augmentation_exact_in_degree_zero():
             assert preimage * H.poly(Polynomial.variable(H.nvars, var)) == elt
             # and the augmentation kills it
             assert all(p.evaluate(origin) == 0 for p in elt.terms.values())
+
+
+def _dense_poly_mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return [[sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j])
+             for j in range(m)] for i in range(n)]
+
+
+def test_poly_mat_mul_on_polynomial_entries():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    zero = Polynomial.zero(2)
+    assert _poly_mat_mul([[x, y]], [[y], [-x]]) == [[zero]]
+    assert _poly_mat_mul([[zero, x], [y, zero]], [[x, zero], [zero, y]]) == [[zero, x * y],
+                                                                             [x * y, zero]]
+
+
+def test_poly_mat_mul_matches_the_dense_product():
+    rng = random.Random(14)
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    zero = Polynomial.zero(2)
+    pool = [zero, zero, zero, x, y, x * y + Polynomial.constant(2, Fraction(1, 2)), -x]
+    for _ in range(20):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.choice(pool) for _ in range(k)] for _ in range(n)]
+        b = [[rng.choice(pool) for _ in range(m)] for _ in range(k)]
+        got = _poly_mat_mul(a, b)
+        assert got == _dense_poly_mat_mul(a, b)
+        assert all(isinstance(p, Polynomial) for row in got for p in row)

@@ -4,28 +4,37 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
-from gradedhecke.linalg import block_matrix, coordinates, identity, mat_add, mat_mul, \
-    mat_pow, mat_scale, mat_sub, mat_vec, min_poly, nullspace, rational_roots, \
-    root_multiplicity, rref, split_space, trace, transpose
-from gradedhecke.polynomials import Polynomial
-from gradedhecke.scalars import poly_mul
+from gradedhecke.linalg import Matrix, block_matrix, char_poly, coordinates, identity, \
+    mat_add, mat_mul, mat_pow, mat_scale, mat_sub, matrix, min_poly, nullspace, rank, \
+    rational_roots, restrict, root_multiplicity, rref, split_space, trace, transpose
+from gradedhecke.scalars import Cyc, poly_divmod, poly_mul, poly_trim
 
 
 def F(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def solve(matrix, rhs):
+def M(rows):
+    return matrix(F(rows))
+
+
+def _lowest_terms(m):
+    return isinstance(m, Matrix) and m.den > 0 and \
+        gcd(m.den, *(x for row in m for x in row)) == 1
+
+
+def solve(a, rhs):
     """One solution of A x = b, or None if inconsistent: an oracle for `coordinates`."""
-    if not matrix:
+    if not a:
         return [] if all(x == 0 for x in rhs) else None
-    ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref(aug)
+    ncols = len(a[0])
+    aug = [list(row) + [b] for row, b in zip(a, rhs)]
+    rows, pivots = _fraction_rref(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -34,33 +43,51 @@ def solve(matrix, rhs):
     return x
 
 
+def test_matrix_is_integer_rows_over_one_denominator_in_lowest_terms():
+    m = M([[Fraction(1, 2), 0], [Fraction(-3, 4), 2]])
+    assert list(m) == [[2, 0], [-3, 8]] and m.den == 4
+    assert m.fractions() == F([[Fraction(1, 2), 0], [Fraction(-3, 4), 2]])
+    assert all(isinstance(x, Fraction) for row in m.fractions() for x in row)
+    # the constructor removes a common factor, so equal values compare equal
+    assert Matrix([[2, 4], [0, -6]], 2) == Matrix([[1, 2], [0, -3]])
+    assert Matrix([[0, 0]], 5) == Matrix([[0, 0]]) and Matrix([[0, 0]], 5).den == 1
+    assert Matrix([[1]], 2) != Matrix([[1]], 3)
+    # a Matrix never equals a plain list, whose rows would match only the numerators
+    assert Matrix([[1]], 2) != [[1]] and not (Matrix([[1]]) == [[1]])
+    assert matrix(m) is m
+    assert matrix([]) == Matrix() and matrix([[], []]) == Matrix([[], []])
+    for bad in ([[0.5]], [[Cyc(4, [Fraction(1)])]], [["1"]]):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            matrix(bad)
+
+
 def test_coordinates_in_a_basis():
     basis = F([[1, 0, 1], [0, 2, 2]])
     vectors = F([[3, 4, 7], [0, 0, 0], [1, -1, 0]])
-    coords = coordinates(basis, vectors)
-    assert coords == F([[3, 2], [0, 0], [1, Fraction(-1, 2)]])
-    for v, c in zip(vectors, coords):
-        assert mat_mul([c], basis)[0] == v
+    coords = coordinates(matrix(basis), matrix(vectors))
+    assert coords.fractions() == F([[3, 2], [0, 0], [1, Fraction(-1, 2)]])
+    for v, c in zip(vectors, coords.fractions()):
+        assert mat_mul(matrix([c]), matrix(basis)).fractions()[0] == v
 
 
 def test_coordinates_agree_with_solve_on_a_dependent_basis():
     basis = F([[1, 1, 0], [2, 2, 0], [0, 1, 1]])
     v = F([[3, 5, 2]])[0]
     cols = [[b[i] for b in basis] for i in range(3)]
-    assert coordinates(basis, [v]) == [solve(cols, v)]
+    assert coordinates(matrix(basis), matrix([v])).fractions() == [solve(cols, v)]
 
 
 def test_coordinates_outside_the_span():
-    basis = F([[1, 0, 1], [0, 1, 1]])
+    basis = M([[1, 0, 1], [0, 1, 1]])
     with pytest.raises(ValueError, match="outside the span"):
-        coordinates(basis, F([[1, 1, 2], [1, 0, 0]]))
+        coordinates(basis, M([[1, 1, 2], [1, 0, 0]]))
     with pytest.raises(ValueError):
-        coordinates([], F([[0, 1]]))
-    assert coordinates([], F([[0, 0]])) == [[]]
+        coordinates(M([]), M([[0, 1]]))
+    assert coordinates(M([]), M([[0, 0]])).fractions() == [[]]
 
 
 def test_generalized_eigenspace_of_a_jordan_block():
-    jordan = F([[2, 1], [0, 2]])
+    jordan = M([[2, 1], [0, 2]])
     mp = min_poly(jordan)
     assert mp == F([[4, -4, 1]])[0]
     m, rest = root_multiplicity(mp, Fraction(2))
@@ -73,80 +100,94 @@ def test_generalized_eigenspace_of_a_jordan_block():
 def _same_span(a, b):
     rows_a, pivots_a = rref(a)
     rows_b, pivots_b = rref(b)
-    return rows_a[:len(pivots_a)] == rows_b[:len(pivots_b)]
+    return rows_a.fractions()[:len(pivots_a)] == rows_b.fractions()[:len(pivots_b)]
+
+
+def _pieces(pieces):
+    return [(lam, rows.fractions()) for lam, rows in pieces]
 
 
 def test_split_space_keeps_a_jordan_block_whole():
-    pieces = split_space(F([[2, 1], [0, 2]]), identity(2))
+    pieces = split_space(M([[2, 1], [0, 2]]), identity(2))
     assert [lam for lam, _ in pieces] == [2]
     assert _same_span(pieces[0][1], identity(2))
 
 
 def test_split_space_puts_irrational_eigenvalues_in_a_last_piece():
-    op = F([[1, 0, 0], [0, 0, 2], [0, 1, 0]])  # diag(1, [[0, 2], [1, 0]])
-    assert split_space(op, identity(3)) == [
+    op = M([[1, 0, 0], [0, 0, 2], [0, 1, 0]])  # diag(1, [[0, 2], [1, 0]])
+    assert _pieces(split_space(op, identity(3))) == [
         (Fraction(1), F([[1, 0, 0]])), (None, F([[0, 1, 0], [0, 0, 1]]))]
 
 
 def test_split_space_removes_the_whole_generalized_eigenspace():
     # a 2x2 Jordan block at 1 beside [[0, 2], [1, 0]]: the image of (op - 1)
     # alone would still meet the Jordan block, the image of (op - 1)^2 does not
-    op = F([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]])
+    op = M([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]])
     (lam, rows), (rest, others) = split_space(op, identity(4))
-    assert lam == 1 and _same_span(rows, F([[1, 0, 0, 0], [0, 1, 0, 0]]))
-    assert rest is None and _same_span(others, F([[0, 0, 1, 0], [0, 0, 0, 1]]))
+    assert lam == 1 and _same_span(rows, M([[1, 0, 0, 0], [0, 1, 0, 0]]))
+    assert rest is None and _same_span(others, M([[0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
 def test_split_space_without_a_rational_eigenvalue():
-    basis = F([[1, 1], [0, 1]])
-    pieces = split_space(F([[0, 1], [1, 1]]), basis)
+    basis = M([[1, 1], [0, 1]])
+    pieces = split_space(M([[0, 1], [1, 1]]), basis)
     assert [lam for lam, _ in pieces] == [None]
     assert _same_span(pieces[0][1], basis)
 
 
 def test_split_space_on_a_one_by_one_matrix():
-    assert split_space(F([[5]]), F([[1]])) == [(Fraction(5), F([[1]]))]
-    assert split_space(F([[0]]), F([[3]])) == [(Fraction(0), F([[3]]))]
+    assert _pieces(split_space(M([[5]]), M([[1]]))) == [(Fraction(5), F([[1]]))]
+    assert _pieces(split_space(M([[0]]), M([[3]]))) == [(Fraction(0), F([[3]]))]
 
 
 def test_split_space_on_a_proper_invariant_subspace():
     # op fixes e1, but the span of (1, 1, 0) and e3 only sees the eigenvalues 2 and 3
-    op = F([[1, 1, 0], [0, 2, 0], [0, 0, 3]])
-    pieces = split_space(op, F([[1, 1, 0], [0, 0, 1]]))
+    op = M([[1, 1, 0], [0, 2, 0], [0, 0, 3]])
+    pieces = split_space(op, M([[1, 1, 0], [0, 0, 1]]))
     assert [lam for lam, _ in pieces] == [2, 3]
-    assert _same_span(pieces[0][1], F([[1, 1, 0]]))
-    assert _same_span(pieces[1][1], F([[0, 0, 1]]))
+    assert _same_span(pieces[0][1], M([[1, 1, 0]]))
+    assert _same_span(pieces[1][1], M([[0, 0, 1]]))
 
 
 def test_split_space_orders_eigenvalues_ascending():
-    op = F([[3, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 2)]])
+    op = M([[3, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 2)]])
     pieces = split_space(op, identity(3))
     assert [lam for lam, _ in pieces] == [-1, Fraction(1, 2), 3]
-    assert [rows for _, rows in pieces] == [F([[0, 1, 0]]), F([[0, 0, 1]]), F([[1, 0, 0]])]
+    assert [rows.fractions() for _, rows in pieces] == [F([[0, 1, 0]]), F([[0, 0, 1]]),
+                                                        F([[1, 0, 0]])]
+
+
+def test_split_space_without_a_basis_splits_the_whole_space():
+    """`split_space(op)` gives the pieces of `split_space(op, identity(n))`."""
+    rng = random.Random(16)
+    cases = [M([[1, 0, 0], [0, 0, 2], [0, 1, 0]]), M([[2, 1], [0, 2]])]
+    cases += [matrix(_upper_triangular(rng, n)) for n in (1, 3, 5, 8)]
+    cases += [matrix(_random_matrix(rng, n, n, 0.4)) for n in (2, 4)]
+    for op in cases:
+        whole = split_space(op)
+        assert whole == split_space(op, identity(len(op)))
+        assert restrict(op) is op and restrict(op, identity(len(op))) == op
 
 
 def test_mat_pow_matches_repeated_products():
-    a = F([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+    a = M([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
     power = identity(3)
     for m in range(7):
         assert mat_pow(a, m) == power
         power = mat_mul(power, a)
 
 
-def test_mat_mul_on_polynomial_entries():
-    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    zero = Polynomial.zero(2)
-    assert mat_mul([[x, y]], [[y], [-x]]) == [[zero]]
-    assert mat_mul([[zero, x], [y, zero]], [[x, zero], [zero, y]]) == [[zero, x * y],
-                                                                      [x * y, zero]]
-
-
 def test_trace_and_block_matrix():
-    a, b = F([[1, 2], [3, 4]]), F([[0, 1], [1, 0]])
+    a, b = M([[1, 2], [3, 4]]), M([[0, 1], [1, 0]])
     big = block_matrix([[a, b], [b, a]])
-    assert big[1] == F([[3, 4, 1, 0]])[0]
-    assert big[2] == F([[0, 1, 1, 2]])[0]
+    assert big.fractions()[1] == F([[3, 4, 1, 0]])[0]
+    assert big.fractions()[2] == F([[0, 1, 1, 2]])[0]
     assert trace(big) == 2 * trace(a) == 10
+    # blocks over different denominators meet over their lcm, in lowest terms
+    half, third = M([[Fraction(1, 2)]]), M([[Fraction(2, 3)]])
+    mixed = block_matrix([[half, third], [third, M([[0]])]])
+    assert mixed.fractions() == F([[Fraction(1, 2), Fraction(2, 3)], [Fraction(2, 3), 0]])
+    assert mixed.den == 6 and _lowest_terms(mixed)
 
 
 def _from_roots(roots, lead=Fraction(1)):
@@ -209,6 +250,208 @@ def test_root_multiplicity_rejects_the_zero_polynomial():
                    timeout=30)
 
 
+# --- Fraction kernels kept as oracles for the integer ones -------------------------------
+#
+# These are the rational kernels that `linalg` ran on lists of Fraction rows
+# before it moved to integer rows over one denominator: zero-skipping, with
+# elimination on the nonzero columns of the pivot row only.
+
+def _fraction_identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _fraction_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _fraction_mat_mul(a, b):
+    m = len(b[0]) if b else 0
+    if not a or not m:
+        return [[] for _ in a]
+    zero = a[0][0] * b[0][0]
+    zero = zero - zero
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for ai in a:
+        row = [None] * m
+        for t, x in enumerate(ai):
+            if x:
+                for j, y in sparse_b[t]:
+                    s = row[j]
+                    row[j] = x * y if s is None else s + x * y
+        out.append([zero if s is None else s for s in row])
+    return out
+
+
+def _sub_multiple(vec, f, pairs):
+    for j, y in pairs:
+        x = vec[j]
+        vec[j] = x - f * y if x else -(f * y)
+
+
+def _fraction_rref(a):
+    rows = [list(r) for r in a]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        inv = prow[c]
+        support = [(j, prow[j] / inv) for j in range(c, ncols) if prow[j]]
+        for j, y in support:
+            prow[j] = y
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                _sub_multiple(row, f, support)
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _fraction_nullspace(a):
+    if not a:
+        return []
+    ncols = len(a[0])
+    rows, pivots = _fraction_rref(a)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(v)
+    return basis
+
+
+def _fraction_coordinates(basis, vectors):
+    if not vectors:
+        return []
+    k = len(basis)
+    aug = [[b[i] for b in basis] + [v[i] for v in vectors]
+           for i in range(len(vectors[0]))]
+    rows, pivots = _fraction_rref(aug)
+    if pivots and pivots[-1] >= k:
+        raise ValueError("vector outside the span of the basis")
+    out = []
+    for j in range(len(vectors)):
+        x = [Fraction(0)] * k
+        for r, p in enumerate(pivots):
+            x[p] = rows[r][k + j]
+        out.append(x)
+    return out
+
+
+def _fraction_min_poly(a):
+    n = len(a)
+    if n == 0:
+        return [Fraction(1)]
+    echelon = []
+    power = _fraction_identity(n)
+    for d in range(n + 1):
+        if d:
+            power = _fraction_mat_mul(power, a)
+        vec = [x for row in power for x in row]
+        coeffs = [Fraction(0)] * d + [Fraction(1)]
+        for p, row, rc in echelon:
+            f = vec[p]
+            if f:
+                _sub_multiple(vec, f, row)
+                _sub_multiple(coeffs, f, rc)
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is None:
+            return coeffs
+        inv = vec[lead]
+        echelon.append((lead, [(j, x / inv) for j, x in enumerate(vec) if x],
+                        [(k, x / inv) for k, x in enumerate(coeffs) if x]))
+    raise AssertionError("minimal polynomial must appear by degree n")
+
+
+def _fraction_char_poly(a):
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    work = _fraction_identity(n)
+    for k in range(1, n + 1):
+        work = _fraction_mat_mul(a, work)
+        c = -sum((work[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = c
+        if k < n:
+            work = [row[:] for row in work]
+            for i in range(n):
+                work[i][i] = work[i][i] + c
+    return coeffs
+
+
+def _fraction_squarefree_part(poly):
+    p = poly_trim([Fraction(c) for c in poly])
+    if len(p) <= 1:
+        return p
+    a, b = p, poly_trim([i * c for i, c in enumerate(p)][1:])
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    quo, rem = poly_divmod(p, a)
+    assert not rem
+    return [c / quo[-1] for c in quo]
+
+
+def _fraction_rational_roots(poly):
+    """Rational roots by Sturm bisection, with the Sturm sequence over Q."""
+    p = _fraction_squarefree_part(poly)
+    if len(p) <= 1:
+        return []
+    den = lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    content = gcd(*ints)
+    lead, n = ints[-1] // content, len(ints) - 1
+    monic = [c // content * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    sturm = [monic, [i * c for i, c in enumerate(monic)][1:]]
+    while len(sturm[-1]) > 1:
+        _, rem = poly_divmod([Fraction(c) for c in sturm[-2]], sturm[-1])
+        d = lcm(*(c.denominator for c in rem))
+        sturm.append([-int(c * d) for c in rem])
+
+    def value(q, t):
+        return sum(c * t ** i for i, c in enumerate(q))
+
+    def variations(t):
+        signs = [s for s in (value(q, t) for q in sturm) if s]
+        return sum((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
+
+    roots = []
+    bound = 1 + max(abs(c) for c in monic[:-1])
+    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if value(monic, hi) == 0:
+                roots.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        stack += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return roots
+
+
+def _fraction_root_multiplicity(poly, root):
+    m = 0
+    while True:
+        quo, rem = poly_divmod(poly, [-root, Fraction(1)])
+        if rem:
+            return m, poly
+        poly = quo
+        m += 1
+
+
 # --- dense kernels kept as oracles for the zero-skipping ones ---------------------------
 
 def _dense_mat_mul(a, b):
@@ -227,8 +470,8 @@ def _dense_mat_mul(a, b):
     return out
 
 
-def _dense_rref(matrix):
-    rows = [list(r) for r in matrix]
+def _dense_rref(a):
+    rows = [list(r) for r in a]
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -256,11 +499,11 @@ def _dense_rref(matrix):
     return rows, pivots
 
 
-def _dense_nullspace(matrix):
-    if not matrix:
+def _dense_nullspace(a):
+    if not a:
         return []
-    ncols = len(matrix[0])
-    rows, pivots = _dense_rref(matrix)
+    ncols = len(a[0])
+    rows, pivots = _dense_rref(a)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
@@ -287,17 +530,17 @@ def _dense_coordinates(basis, vectors):
     return out
 
 
-def _krylov_min_poly(matrix):
+def _krylov_min_poly(a):
     """One nullspace of the flattened powers I, A, ..., A^d per degree d."""
-    n = len(matrix)
+    n = len(a)
     if n == 0:
         return [Fraction(1)]
-    power = identity(n)
+    power = _fraction_identity(n)
     flats = [[power[i][j] for i in range(n) for j in range(n)]]
     for _ in range(n):
-        power = _dense_mat_mul(power, matrix)
+        power = _dense_mat_mul(power, a)
         flats.append([power[i][j] for i in range(n) for j in range(n)])
-        ker = _dense_nullspace(transpose(flats))
+        ker = _dense_nullspace(_fraction_transpose(flats))
         if ker:
             rel = ker[0]
             lead = max(i for i, c in enumerate(rel) if c != 0)
@@ -347,15 +590,19 @@ def _square_cases(seed):
     return cases
 
 
-def _check_elimination(matrix):
-    assert rref(matrix) == _dense_rref(matrix)
-    assert nullspace(matrix) == _dense_nullspace(matrix)
-    combos = [[Fraction(i - j) for j in range(len(matrix))] for i in range(2)]
-    vectors = _dense_mat_mul(combos, matrix)
-    assert coordinates(matrix, vectors) == _dense_coordinates(matrix, vectors)
-    for v in matrix[:3] + [[Fraction(1)] * len(matrix[0])]:
-        assert mat_vec(matrix, v) == [row[0] for row in _dense_mat_mul(
-            matrix, [[x] for x in v])]
+def _check_elimination(a):
+    m = matrix(a)
+    rows, pivots = rref(m)
+    assert (rows.fractions(), pivots) == _dense_rref(a)
+    assert rank(m) == len(pivots)
+    assert nullspace(m).fractions() == _dense_nullspace(a)
+    combos = [[Fraction(i - j) for j in range(len(a))] for i in range(2)]
+    vectors = _dense_mat_mul(combos, a)
+    assert coordinates(m, matrix(vectors)).fractions() == _dense_coordinates(a, vectors)
+    # a product by a column, where linalg once had a matrix-vector kernel
+    for v in a[:3] + [[Fraction(1)] * len(a[0])]:
+        column = [[x] for x in v]
+        assert mat_mul(m, matrix(column)).fractions() == _dense_mat_mul(a, column)
 
 
 @pytest.mark.parametrize("density", DENSITIES)
@@ -364,7 +611,7 @@ def test_mat_mul_matches_the_dense_product(density):
     for _ in range(30):
         n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
         a, b = _random_matrix(rng, n, k, density), _random_matrix(rng, k, m, density)
-        assert mat_mul(a, b) == _dense_mat_mul(a, b)
+        assert mat_mul(matrix(a), matrix(b)).fractions() == _dense_mat_mul(a, b)
 
 
 @pytest.mark.parametrize("density", DENSITIES)
@@ -383,9 +630,9 @@ def test_square_kernels_match_the_oracles(seed):
     others = _square_cases(seed + 10)
     for a in _square_cases(seed):
         b = rng.choice([c for c in others if len(c) == len(a)])
-        assert mat_mul(a, b) == _dense_mat_mul(a, b)
+        assert mat_mul(matrix(a), matrix(b)).fractions() == _dense_mat_mul(a, b)
         _check_elimination(a)
-        mp = min_poly(a)
+        mp = min_poly(matrix(a))
         assert mp == _krylov_min_poly(a)
         assert mp[-1] == 1
 
@@ -395,10 +642,10 @@ def test_min_poly_of_structured_matrices():
     assert min_poly(mat_scale(identity(3), Fraction(0))) == F([[0, 1]])[0]
     # a 4-cycle permutation matrix: x^4 - 1
     cycle = F([[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)])
-    assert min_poly(cycle) == _krylov_min_poly(cycle) == F([[-1, 0, 0, 0, 1]])[0]
+    assert min_poly(matrix(cycle)) == _krylov_min_poly(cycle) == F([[-1, 0, 0, 0, 1]])[0]
     # diag(2, 2, 3): (x - 2)(x - 3), degree below the size
     diag = F([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
-    assert min_poly(diag) == _krylov_min_poly(diag) == F([[6, -5, 1]])[0]
+    assert min_poly(matrix(diag)) == _krylov_min_poly(diag) == F([[6, -5, 1]])[0]
 
 
 def test_coordinates_match_dense_elimination():
@@ -411,48 +658,36 @@ def test_coordinates_match_dense_elimination():
                 basis.append(_dense_mat_mul([[_entry(rng)] * k], basis)[0])
             combos = _random_matrix(rng, 3, len(basis), density)
             vectors = _dense_mat_mul(combos, basis)
-            assert coordinates(basis, vectors) == _dense_coordinates(basis, vectors)
+            assert coordinates(matrix(basis), matrix(vectors)).fractions() == \
+                _dense_coordinates(basis, vectors)
             outside = _random_matrix(rng, 1, n, 1.0)
             try:
                 expected = _dense_coordinates(basis, outside)
             except ValueError:
                 with pytest.raises(ValueError, match="outside the span"):
-                    coordinates(basis, outside)
+                    coordinates(matrix(basis), matrix(outside))
             else:
-                assert coordinates(basis, outside) == expected
+                assert coordinates(matrix(basis), matrix(outside)).fractions() == expected
 
 
 def test_empty_shapes():
-    one = [[Fraction(3)]]
-    assert mat_mul(one, one) == [[Fraction(9)]]
+    one = M([[3]])
+    assert mat_mul(one, one) == M([[9]])
     # n x 0 times 0 x 0, 0 x k times anything, n x k times k x 0
-    assert mat_mul([[], []], []) == _dense_mat_mul([[], []], []) == [[], []]
-    assert mat_mul([], one) == _dense_mat_mul([], one) == []
-    assert mat_mul([[]], [[]]) == _dense_mat_mul([[]], [[]]) == [[]]
-    assert mat_mul(one + one, [[]]) == [[], []]
-    assert mat_vec([[]], []) == [Fraction(0)]
-    assert mat_vec([[], []], []) == [Fraction(0), Fraction(0)]
-    assert mat_vec([], []) == []
-    assert rref([]) == _dense_rref([]) == ([], [])
-    assert rref([[], []]) == _dense_rref([[], []]) == ([[], []], [])
-    assert nullspace([[], []]) == _dense_nullspace([[], []]) == []
-    assert nullspace([]) == []
-    assert min_poly([]) == [Fraction(1)]
-    assert min_poly(one) == _krylov_min_poly(one) == [Fraction(-3), Fraction(1)]
-
-
-def test_mat_mul_on_polynomial_entries_matches_the_dense_product():
-    rng = random.Random(14)
-    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    zero = Polynomial.zero(2)
-    pool = [zero, zero, zero, x, y, x * y + Polynomial.constant(2, Fraction(1, 2)), -x]
-    for _ in range(20):
-        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        a = [[rng.choice(pool) for _ in range(k)] for _ in range(n)]
-        b = [[rng.choice(pool) for _ in range(m)] for _ in range(k)]
-        got = mat_mul(a, b)
-        assert got == _dense_mat_mul(a, b)
-        assert all(isinstance(p, Polynomial) for row in got for p in row)
+    assert mat_mul(M([[], []]), M([])).fractions() == _dense_mat_mul([[], []], []) == [[], []]
+    assert mat_mul(M([]), one).fractions() == _dense_mat_mul([], [[3]]) == []
+    assert mat_mul(M([[]]), M([[]])).fractions() == _dense_mat_mul([[]], [[]]) == [[]]
+    assert mat_mul(M([[3], [3]]), M([[]])).fractions() == [[], []]
+    rows, pivots = rref(M([]))
+    assert (rows.fractions(), pivots) == _dense_rref([]) == ([], [])
+    rows, pivots = rref(M([[], []]))
+    assert (rows.fractions(), pivots) == _dense_rref([[], []]) == ([[], []], [])
+    assert rank(M([])) == rank(M([[], []])) == 0
+    assert nullspace(M([[], []])).fractions() == _dense_nullspace([[], []]) == []
+    assert nullspace(M([])) == Matrix()
+    assert min_poly(M([])) == [Fraction(1)]
+    assert min_poly(one) == _krylov_min_poly([[Fraction(3)]]) == [Fraction(-3), Fraction(1)]
+    assert transpose(M([])) == Matrix() and trace(M([])) == 0
 
 
 def test_elementwise_kernels_keep_zero_entries():
@@ -460,9 +695,73 @@ def test_elementwise_kernels_keep_zero_entries():
     for density in DENSITIES:
         a, b = _random_matrix(rng, 4, 5, density), _random_matrix(rng, 4, 5, density)
         c = _entry(rng)
-        assert mat_add(a, b) == [[p + q for p, q in zip(r, s)] for r, s in zip(a, b)]
-        assert mat_sub(a, b) == [[p - q for p, q in zip(r, s)] for r, s in zip(a, b)]
-        assert mat_scale(a, c) == [[c * p for p in r] for r in a]
-        assert all(isinstance(p, Fraction)
-                   for m in (mat_add(a, b), mat_sub(a, b), mat_scale(a, c))
-                   for row in m for p in row)
+        ma, mb = matrix(a), matrix(b)
+        assert mat_add(ma, mb).fractions() == [[p + q for p, q in zip(r, s)]
+                                              for r, s in zip(a, b)]
+        assert mat_sub(ma, mb).fractions() == [[p - q for p, q in zip(r, s)]
+                                              for r, s in zip(a, b)]
+        assert mat_scale(ma, c).fractions() == [[c * p for p in r] for r in a]
+        assert all(_lowest_terms(m) for m in (mat_add(ma, mb), mat_sub(ma, mb),
+                                              mat_scale(ma, c), mat_sub(ma, ma)))
+
+
+def _signed_case(rng, n, m):
+    """Denominators up to 4, negative entries, and some zero rows."""
+    rows = _random_matrix(rng, n, m, rng.choice((0.2, 0.6, 1.0)))
+    for i in range(n):
+        if rng.random() < 0.2:
+            rows[i] = [Fraction(0)] * m
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_kernels_match_the_fraction_kernels(seed):
+    """Each integer kernel against the rational kernel it replaced."""
+    rng = random.Random(200 + seed)
+    for _ in range(40):
+        n, k, m = rng.randint(0, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a, b = _signed_case(rng, n, k), _signed_case(rng, k, m)
+        product = mat_mul(matrix(a), matrix(b))
+        assert product.fractions() == _fraction_mat_mul(a, b) and _lowest_terms(product)
+        if not a:
+            continue
+        rows, pivots = rref(matrix(a))
+        assert (rows.fractions(), pivots) == _fraction_rref(a) and _lowest_terms(rows)
+        assert rank(matrix(a)) == len(pivots)
+        kernel = nullspace(matrix(a))
+        assert kernel.fractions() == _fraction_nullspace(a) and _lowest_terms(kernel)
+        vectors = _fraction_mat_mul(_signed_case(rng, 2, n), a)
+        coords = coordinates(matrix(a), matrix(vectors))
+        assert coords.fractions() == _fraction_coordinates(a, vectors)
+        square = _signed_case(rng, k, k)
+        assert min_poly(matrix(square)) == _fraction_min_poly(square)
+        assert char_poly(matrix(square)) == _fraction_char_poly(square)
+        assert trace(matrix(square)) == sum((square[i][i] for i in range(k)), Fraction(0))
+        assert transpose(matrix(a)).fractions() == _fraction_transpose(a)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_roots_match_the_fraction_kernels(seed):
+    """Rational roots and multiplicities against the rational kernels they replaced.
+
+    The polynomials are products of rational linear factors, some repeated,
+    with x^2 - 2 or x^2 + 1 now and then, times a rational leading
+    coefficient of either sign; then the minimal polynomials of random
+    matrices with denominators above 1.
+    """
+    rng = random.Random(300 + seed)
+    polys = []
+    for _ in range(40):
+        roots = [_entry(rng) for _ in range(rng.randint(0, 4))]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 2)))
+        p = _from_roots(roots, _entry(rng))
+        if rng.random() < 0.3:
+            p = poly_mul(p, [Fraction(rng.choice((-2, 1))), Fraction(0), Fraction(1)])
+        polys.append(p)
+    polys += [min_poly(matrix(_signed_case(rng, n, n))) for n in range(1, 6)]
+    polys += [min_poly(matrix(_upper_triangular(rng, n))) for n in range(1, 6)]
+    for p in polys:
+        roots = rational_roots(p)
+        assert roots == _fraction_rational_roots(p)
+        for root in roots:
+            assert root_multiplicity(p, root) == _fraction_root_multiplicity(p, root)

@@ -270,3 +270,45 @@ def test_irrational_weight_reported(A1):
         {("s", 0): [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(-1)]]})
     with pytest.raises(ValueError, match="characteristic polynomial"):
         weight_decomposition(mod)
+
+
+def _word_product_oracle(module, w):
+    """N_w as the product of the generator matrices along w's reduced word, then Gamma."""
+    out = [[Fraction(int(i == j)) for j in range(module.dim)] for i in range(module.dim)]
+    factors = [module.generators[("s", i)] for i in w.word]
+    if w.gamma:
+        factors.append(module.generators[("g", w.gamma)])
+    for f in factors:
+        out = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*f)]
+               for row in out]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_group_matrices_match_the_word_products(name):
+    """Each N_w is its cached prefix's matrix times one generator: the word product."""
+    H = build_preset(name, mode="r1")
+    lam = tuple(Fraction(2 * i + 3, i + 1) for i in range(H.rs.dim))
+    mod = induce_from_character(H, lam, validate=False)
+    for w in H.group.elements:
+        assert mod.group_matrix(w) == _word_product_oracle(mod, w)
+        if w.word:
+            prefix = H.group.word_element(w.word[:-1])
+            assert prefix.word == w.word[:-1]
+
+
+def test_module_generators_are_checked_at_construction(A1):
+    A1xA1swap = build_preset("A1xA1swap", mode="r1")
+    with pytest.raises(ValueError, match="no matrix for the generator s1"):
+        FiniteDimModule(A1, [[[Fraction(-1)]]], {})
+    with pytest.raises(ValueError, match="no generator"):
+        FiniteDimModule(A1, [[[Fraction(-1)]]], {("s", 0): [[-1]], ("g", 1): [[1]]})
+    with pytest.raises(ValueError, match="no matrix for the generator g1"):
+        FiniteDimModule(A1xA1swap, [[[1]], [[1]]], {("s", 0): [[1]], ("s", 1): [[1]]})
+    with pytest.raises(ValueError, match="the matrix of s1 must be 1 x 1"):
+        FiniteDimModule(A1, [[[Fraction(-1)]]], {("s", 0): [[-1, 0], [0, 1]]})
+    with pytest.raises(ValueError, match="x matrices"):
+        FiniteDimModule(A1, [], {("s", 0): [[-1]]})
+    # the matrices read back as the Fractions they were given
+    st = steinberg(A1)
+    assert st.x == [[[Fraction(-1)]]] and st.generators == {("s", 0): [[Fraction(-1)]]}

@@ -11,7 +11,9 @@ The element expression grammar used by the command line.
 
 Variables are x1..xd and r; for rank one, `x` and `s` are accepted as
 aliases for x1 and s1.  FUNC is IM or sgn.  Parse errors carry the
-character position.
+character position.  A power is formed by square-and-multiply, and `a ^ m`
+is an error when m times the degree of a in x1..xd and r (a constant
+counting as degree 1) passes `POWER_DEGREE_CAP`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from fractions import Fraction
 
 from .hecke import HeckeAlgebra, HeckeElement
 
-__all__ = ["parse_element", "ExpressionError"]
+__all__ = ["parse_element", "ExpressionError", "POWER_DEGREE_CAP"]
+
+# `a ^ m` is refused when m times the degree of a in x1..xd and r passes this
+POWER_DEGREE_CAP = 4096
 
 
 class ExpressionError(ValueError):
@@ -102,11 +107,14 @@ class _Parser:
             kind, text, pos = self.next()
             if kind != "number" or "/" in text:
                 raise ExpressionError("exponent must be a nonnegative integer", pos)
-            power = int(text)
-            out = self.algebra.one()
-            for _ in range(power):
-                out = out * base
-            return out
+            # the base's degree in x1..xd and r, a constant or zero counting as 1;
+            # the digit count goes first, so a huge exponent is never converted
+            degree = max(1, self.algebra.filtration_degree(base) // 2)
+            if (len(text.lstrip("0")) > len(str(POWER_DEGREE_CAP))
+                    or int(text) * degree > POWER_DEGREE_CAP):
+                raise ExpressionError(f"power too large: the exponent times the base's "
+                                      f"degree ({degree}) passes {POWER_DEGREE_CAP}", pos)
+            return _power(self.algebra.one(), base, int(text))
         return base
 
     def atom(self) -> HeckeElement:
@@ -186,6 +194,17 @@ class _Parser:
             if self.peek()[1] != "*":
                 return out
             self.next()
+
+
+def _power(out: HeckeElement, base: HeckeElement, m: int) -> HeckeElement:
+    """out * base^m by square-and-multiply: powers of one element commute."""
+    while m:
+        if m & 1:
+            out = out * base
+        m >>= 1
+        if m:
+            base = base * base
+    return out
 
 
 def parse_element(algebra: HeckeAlgebra, text: str) -> HeckeElement:

@@ -16,11 +16,12 @@ The exchange step is linear in p, so it is memoized per monomial: each
 instance keeps a private dict from (exponent tuple, generator index) to the
 moved monomial and its correction as numerators over one denominator,
 filled lazily on first use.  A product runs on numerators over one common
-denominator, ints on rational data and `Cyc`s on cyclotomic data in the
-same loops, and forms one `Fraction` (or one `Cyc`) per output coefficient
-at the end.  The memo depends on k and the mode, so it lives on the
-instance and is never shared: `with_k` and `crossed_product` build new
-instances, which start with an empty memo.
+denominator, in the same loops on rational and on cyclotomic data: ints, or
+`Cyc`s whose integer numerator tuples sit over denominator 1, so their sums
+and products take no gcd.  It forms one `Fraction` (or one `Cyc`) per
+output coefficient at the end.  The memo depends on k and the mode, so it
+lives on the instance and is never shared: `with_k` and `crossed_product`
+build new instances, which start with an empty memo.
 
 Modes:
   * "generic" - r is a polynomial variable, the algebra is graded;

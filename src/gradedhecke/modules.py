@@ -320,16 +320,20 @@ def weight_decomposition(module: FiniteDimModule) -> list[WeightDatum]:
 
 def is_tempered(module: FiniteDimModule) -> bool:
     """All weights in the closed antidominant cone with zero central part."""
-    rs = module.algebra.rs
-    return all(rs.cone_position(d.weight).in_closed_cone
-               for d in weight_decomposition(module))
+    return _tempered(module.algebra.rs, weight_decomposition(module))
 
 
 def is_essentially_discrete_series(module: FiniteDimModule) -> bool:
     """All weights strictly antidominant; the central part is unrestricted."""
-    rs = module.algebra.rs
-    return all(rs.cone_position(d.weight).strictly_negative_part
-               for d in weight_decomposition(module))
+    return _discrete_series(module.algebra.rs, weight_decomposition(module))
+
+
+def _tempered(rs, data: list[WeightDatum]) -> bool:
+    return all(rs.cone_position(d.weight).in_closed_cone for d in data)
+
+
+def _discrete_series(rs, data: list[WeightDatum]) -> bool:
+    return all(rs.cone_position(d.weight).strictly_negative_part for d in data)
 
 
 # ---------------------------------------------------------------------------
@@ -394,36 +398,39 @@ def classify_rank_one(algebra: HeckeAlgebra, generic_samples=(Fraction(2), Fract
         xmat = [[eta * k]]
         gens = {("s", 0): [[eta]]}
         mod = FiniteDimModule(algebra, [xmat], gens)
-        rec = _record(name, mod)
-        records.append(rec)
+        records.append(_record(name, mod, weight_decomposition(mod)))
     # the induced module at 0; irreducible iff k != 0
-    ind0 = induce_from_character(algebra, (Fraction(0),))
-    if k != 0 and not _has_one_dim_submodule(ind0):
-        records.append(_record("pi_0", ind0))
+    if k != 0:
+        ind0 = induce_from_character(algebra, (Fraction(0),))
+        wd = weight_decomposition(ind0)
+        if not _has_one_dim_submodule(ind0, wd):
+            records.append(_record("pi_0", ind0, wd))
     # generic samples: irreducible two-dimensional principal series
     for lam in generic_samples:
         lam = Fraction(lam)
         if lam in (k, -k, 0):
             continue
         ind = induce_from_character(algebra, (lam,))
-        if not _has_one_dim_submodule(ind):
-            records.append(_record(f"pi_{lam}", ind))
+        wd = weight_decomposition(ind)
+        if not _has_one_dim_submodule(ind, wd):
+            records.append(_record(f"pi_{lam}", ind, wd))
     return records
 
 
-def _record(label, module) -> RankOneRecord:
-    wd = weight_decomposition(module)
+def _record(label, module, wd: list[WeightDatum]) -> RankOneRecord:
+    """The record of a module from its one weight decomposition wd."""
+    rs = module.algebra.rs
     return RankOneRecord(
         label=label, module=module, weights=wd,
-        tempered=is_tempered(module),
-        discrete_series=is_essentially_discrete_series(module),
+        tempered=_tempered(rs, wd), discrete_series=_discrete_series(rs, wd),
         real_weights=True)
 
 
-def _has_one_dim_submodule(module: FiniteDimModule) -> bool:
-    """Exact search for a common eigenvector of x and the N generators."""
+def _has_one_dim_submodule(module: FiniteDimModule, wd: list[WeightDatum]) -> bool:
+    """Exact search for a common eigenvector of x and the N generators, per
+    weight of the decomposition wd."""
     ns = module.generator_matrices[("s", 0)]
-    for datum in weight_decomposition(module):
+    for datum in wd:
         # eigenvectors for each x-eigenvalue, as rows, and their images under N_s
         shifted = mat_sub(module.x_matrices[0],
                           mat_scale(identity(module.dim), datum.weight[0]))

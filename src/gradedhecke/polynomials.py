@@ -125,9 +125,13 @@ class Polynomial:
     def __pow__(self, m: int):
         if m < 0:
             raise ValueError("negative polynomial power")
-        terms = {(0,) * self.nvars: Fraction(1)}
-        for _ in range(m):
-            terms = _product(terms, self.terms)
+        terms, base = {(0,) * self.nvars: Fraction(1)}, self.terms
+        while m:  # square-and-multiply
+            if m & 1:
+                terms = _product(terms, base)
+            m >>= 1
+            if m:
+                base = _product(base, base)
         return _wrap(self.nvars, terms)
 
     # -- structure -------------------------------------------------------------

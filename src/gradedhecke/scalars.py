@@ -3,16 +3,23 @@ Exact scalars: rational numbers and elements of cyclotomic fields Q(zeta_n).
 
 Rationals are plain `fractions.Fraction`.  A `Cyc` is a rational combination
 of powers of a primitive n-th root of unity, stored in canonical form: a
-tuple of deg = phi(n) `Fraction`s on the power basis 1, z, ..., z^(deg-1), so
-equality is decidable.  The order n is fixed per instance and mixing orders
-raises.
+tuple `num` of deg = phi(n) integers on the power basis 1, z, ..., z^(deg-1)
+over one positive denominator `den`, in lowest terms (no prime divides den
+and every numerator), so equality is a tuple comparison.  `coeffs` reads the
+same element back as deg `Fraction`s.  The order n is fixed per instance and
+mixing orders raises.
 
 Only the constructor `Cyc(n, coeffs)` and `inverse` reduce modulo the n-th
-cyclotomic polynomial; powers and division are built from them.  Sums,
-differences, negations and rational multiples of canonical tuples are
-canonical by construction, and a product of two `Cyc`s folds its powers
-z^deg .. z^(2 deg - 2) back with a table of their canonical forms, built
-once per order.  These results are wrapped unreduced.
+cyclotomic polynomial Phi_n, on `Fraction`s; powers and division are built
+from them.  Every other operation runs on the integer numerators: sums,
+differences, negations and rational multiples of reduced tuples are reduced,
+and a product of two `Cyc`s folds its powers z^deg .. z^(2 deg - 2) back
+with a table of their canonical forms, integers because Phi_n is monic with
+integer coefficients, built once per order.  These results only divide out
+the gcd of numerators and denominator, which a denominator of 1, the case
+in straightening, skips.  `split_scalar` and `divide_scalar` take the
+denominator off and put it back, so straightening runs the same loops on
+integer and on cyclotomic numerators.
 
 >>> z = Cyc.root_of_unity(4)
 >>> z * z
@@ -21,11 +28,15 @@ Cyc(4, [-1])
 Cyc(4, [-2])
 >>> 1 / z == -z
 True
+>>> w = z / 2 + Fraction(1, 3)
+>>> w.num, w.den
+((2, 3), 6)
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["Fraction", "frac", "Cyc", "scalar_str", "cyclotomic_poly",
            "split_scalar", "divide_scalar"]
@@ -44,18 +55,21 @@ def frac(x) -> Fraction:
 
 def split_scalar(c) -> tuple:
     """A pair (n, d) with c = n / d and d a positive int: a `Fraction` gives
-    its numerator and denominator, an `int` or a `Cyc` itself over 1."""
+    its numerator and denominator, a `Cyc` its integral numerators as a `Cyc`
+    and its denominator, an `int` itself over 1."""
     if isinstance(c, Fraction):
         return c.numerator, c.denominator
+    if isinstance(c, Cyc) and c.den != 1:
+        return _cyc(c.order, c.num, 1), c.den
     return c, 1
 
 
 def divide_scalar(n, d: int):
     """n / d for a numerator from `split_scalar`: a `Fraction` for an int n,
-    n times 1/d for a `Cyc`."""
+    for a `Cyc` the same numerators with d folded into the denominator."""
     if isinstance(n, int):
         return Fraction(n) if d == 1 else Fraction(n, d)
-    return n if d == 1 else n * Fraction(1, d)
+    return n if d == 1 else _cyc(n.order, n.num, n.den * d)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +163,11 @@ def cyclotomic_poly(n: int) -> list[Fraction]:
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
 
-_set = object.__setattr__
-
-
 class Cyc:
-    """An element of Q(zeta_n) in canonical power-basis form."""
+    """An element of Q(zeta_n): integer numerators `num` on the power basis
+    over one positive denominator `den`, in lowest terms."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
         if order < 1:
@@ -166,11 +178,19 @@ class Cyc:
         if len(cs) >= len(phi):
             _, cs = poly_divmod(cs, phi)
         cs = cs + [Fraction(0)] * (deg - len(cs))
-        _set(self, "order", order)
-        _set(self, "coeffs", tuple(cs[:deg]))
+        # over the lcm of the lowest-terms denominators the tuple is in lowest terms
+        den = lcm(*(c.denominator for c in cs))
+        _set_order(self, order)
+        _set_num(self, tuple([c.numerator * (den // c.denominator) for c in cs]))
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyc is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The canonical coefficients as `Fraction`s on 1, z, ..., z^(deg-1)."""
+        return tuple([Fraction(n, self.den) for n in self.num])
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> "Cyc":
@@ -183,43 +203,50 @@ class Cyc:
                 f"mixed cyclotomic orders {self.order} and {other.order}")
 
     # -- ring structure ----------------------------------------------------
-    # Canonical inputs give canonical sums, negations and rational multiples,
-    # so these wrap their coefficient tuples with `_raw_cyc` unreduced.
+    # Sums, negations and products of canonical inputs stay reduced modulo
+    # Phi_n, so only their denominators may need the gcd that `_cyc` takes;
+    # over a denominator of 1 they need none.
     def __add__(self, other):
-        cs = self.coeffs
+        num, d = self.num, self.den
         if isinstance(other, Cyc):
             self._same_order(other)
-            return _raw_cyc(self.order, tuple([a + b for a, b in zip(cs, other.coeffs)]))
+            e = other.den
+            if d == e:
+                return _cyc(self.order, tuple([a + b for a, b in zip(num, other.num)]), d)
+            return _cyc(self.order, tuple([a * e + b * d for a, b in zip(num, other.num)]),
+                        d * e)
         if isinstance(other, (int, Fraction)):
-            return _raw_cyc(self.order, (cs[0] + other,) + cs[1:])
+            q = other.denominator
+            return _cyc(self.order, (num[0] * q + other.numerator * d,)
+                        + tuple([a * q for a in num[1:]]), d * q)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw_cyc(self.order, tuple([-a for a in self.coeffs]))
+        return _cyc(self.order, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
-        cs = self.coeffs
-        if isinstance(other, Cyc):
-            self._same_order(other)
-            return _raw_cyc(self.order, tuple([a - b for a, b in zip(cs, other.coeffs)]))
-        if isinstance(other, (int, Fraction)):
-            return _raw_cyc(self.order, (cs[0] - other,) + cs[1:])
+        if isinstance(other, (Cyc, int, Fraction)):
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            cs = self.coeffs
-            return _raw_cyc(self.order, (other - cs[0],) + tuple([-a for a in cs[1:]]))
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return _cyc(self.order, tuple([a * other for a in self.num]), self.den)
         if isinstance(other, Cyc):
             self._same_order(other)
-            return _raw_cyc(self.order, _mul_coeffs(self.order, self.coeffs, other.coeffs))
-        if isinstance(other, (int, Fraction)):
-            return _raw_cyc(self.order, tuple([a * other if a else a for a in self.coeffs]))
+            return _cyc(self.order, _mul_coeffs(self.order, self.num, other.num),
+                        self.den * other.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _cyc(self.order, tuple([a * p for a in self.num]),
+                        self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -257,31 +284,33 @@ class Cyc:
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, Cyc):
             self._same_order(other)
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return (self.num[0] * other.denominator == other.numerator * self.den
+                    and not any(self.num[1:]))
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(self.rational_value())
+        # an int hashes like its Fraction, so this is the hash of (order, coeffs)
+        return hash((self.order, self.num if self.den == 1 else self.coeffs))
 
     def __repr__(self):
         nz = [(i, c) for i, c in enumerate(self.coeffs) if c]
@@ -294,11 +323,22 @@ class Cyc:
         return scalar_str(self)
 
 
-def _raw_cyc(order: int, coeffs: tuple) -> Cyc:
-    """Wrap a coefficient tuple that is already canonical: no reduction, no checks."""
-    out = object.__new__(Cyc)
-    _set(out, "order", order)
-    _set(out, "coeffs", coeffs)
+# the slots' own setters, since `Cyc.__setattr__` refuses every assignment
+_new = object.__new__
+_set_order, _set_num, _set_den = Cyc.order.__set__, Cyc.num.__set__, Cyc.den.__set__
+
+
+def _cyc(order: int, num: tuple, den: int) -> Cyc:
+    """num / den for integer numerators already reduced modulo Phi_n and a
+    positive den, put in lowest terms; no other reduction or check."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple([a // g for a in num]), den // g
+    out = _new(Cyc)
+    _set_order(out, order)
+    _set_num(out, num)
+    _set_den(out, den)
     return out
 
 
@@ -306,37 +346,31 @@ _FOLD: dict[int, list] = {}
 
 
 def _fold_table(order: int) -> list:
-    """Per power z^i, deg <= i <= 2*deg - 2, its nonzero canonical (index, coefficient) pairs."""
+    """Per power z^i, deg <= i <= 2*deg - 2, its nonzero canonical (index,
+    numerator) pairs; Phi_n is monic with integer coefficients, so every
+    such power has denominator 1."""
     if order not in _FOLD:
         deg = len(cyclotomic_poly(order)) - 1
-        _FOLD[order] = [[(k, c) for k, c in enumerate(Cyc.root_of_unity(order, i).coeffs) if c]
+        _FOLD[order] = [[(k, c) for k, c in enumerate(Cyc.root_of_unity(order, i).num) if c]
                         for i in range(deg, 2 * deg - 1)]
     return _FOLD[order]
 
 
-_ZERO = Fraction(0)
-
-
 def _mul_coeffs(order: int, a: tuple, b: tuple) -> tuple:
-    """Canonical coefficients of a * b: the schoolbook product, then z^i for
-    i >= deg folded back by the table of canonical powers.
-
-    `_ZERO` marks a slot nothing has been added to yet, so no sum starts from 0.
-    """
+    """Canonical numerators of a * b for integer numerator tuples: the
+    schoolbook product, then z^i for i >= deg folded back by the table of
+    canonical powers."""
     deg = len(a)
-    out = [_ZERO] * (2 * deg - 1)
+    out = [0] * (2 * deg - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    s = out[i + j]
-                    out[i + j] = x * y if s is _ZERO else s + x * y
+                    out[i + j] += x * y
     for high, row in zip(out[deg:], _fold_table(order)):
         if high:
             for k, t in row:
-                s = out[k]
-                p = high * t
-                out[k] = p if s is _ZERO else s + p
+                out[k] += high * t
     return tuple(out[:deg])
 
 

@@ -3,11 +3,13 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from gradedhecke.cli import _structure_constants, main
+from gradedhecke.expressions import POWER_DEGREE_CAP
 from gradedhecke.presets import algebra_from_config, build_preset
 from gradedhecke.verification import ALL_SUITES, SuiteResult
 
@@ -489,12 +491,7 @@ def test_fuzzed_algebra_files_exit_0_or_2_without_traceback(tmp_path, capsys):
 
 
 def test_fuzzed_eval_exit_0_or_2_without_traceback(capsys):
-    """Presets, `--k` values and element expressions never give a traceback.
-
-    The expressions never contain '^' on purpose: the parser has no bound on
-    an exponent, so `x ^ 99999999` still runs for as long as the product
-    takes (ROADMAP item 6), and that bound needs its own design.
-    """
+    """Presets, `--k` values and element expressions never give a traceback."""
     from hypothesis import given, settings, strategies as st
 
     from gradedhecke.presets import PRESETS
@@ -511,6 +508,10 @@ def test_fuzzed_eval_exit_0_or_2_without_traceback(capsys):
     junk = st.sampled_from(["N[", "]", "(", ")", "*", "+", "-", "x3", "x9", "s1", "N[s9]",
                             "N[g5]", "IM(", "sgn", "foo", "@", "7/0", "1/", "N[s1**s2]", "",
                             "x1 x2"])
+
+    exponent = st.one_of(st.sampled_from(["0", "1", "2", "3"]), st.sampled_from(
+        ["0", "1", "2", "3", "4097", "99999999", "1/2", "-1", "x", ""]))
+    atom = st.one_of(atom, atom, st.tuples(atom, exponent).map(" ^ ".join))
 
     def joined(part):
         return st.lists(part, min_size=1, max_size=3).flatmap(
@@ -532,6 +533,128 @@ def test_fuzzed_eval_exit_0_or_2_without_traceback(capsys):
         assert code in (0, 2) and "Traceback" not in captured.err, (preset, k_text, text)
         if code == 0:
             assert captured.out.count("\n") == 1
+
+    run()
+
+
+def test_power_past_the_degree_cap_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert run_cli("eval", "--preset", "A1", "--k", "1", "x ^ 99999999") == 2
+    assert time.perf_counter() - start < 1
+    assert "power too large" in _one_line_error(capsys)
+    # the cap is on the exponent times the base's degree, a constant counting as 1
+    for text in ("x ^ 4097", "(x * r) ^ 2049", "N[s] ^ 4097", "2 ^ 4097", "0 ^ 4097",
+                 "x ^ " + "9" * 5000):
+        assert run_cli("eval", "--preset", "A1", text) == 2, text
+        assert f"passes {POWER_DEGREE_CAP}" in _one_line_error(capsys)
+    assert run_cli("eval", "--preset", "A1", "(x * r) ^ 2048") == 0
+    assert capsys.readouterr().out == "N[e]*(x^2048*r^2048)\n"
+
+
+def test_large_power_prints_as_before(capsys):
+    assert run_cli("eval", "--preset", "A1", "--k", "1", "x ^ 2000") == 0
+    assert capsys.readouterr().out == "N[e]*(x^2000)\n"
+
+
+@pytest.mark.parametrize("preset, base, m", [
+    ("A1", "(x + N[s])", 5), ("A1", "(2*x - r*N[s] + 1/3)", 6),
+    ("B2", "(x1 + N[s1] - 1/2*r*N[s2])", 4), ("A2flip-tw", "(x1 + N[g1] - N[s2])", 3),
+    ("G2", "N[s1*s2]", 7), ("A1", "(x + N[s])", 0)])
+def test_power_by_squaring_matches_repeated_products(preset, base, m, capsys):
+    assert run_cli("eval", "--preset", preset, f"{base} ^ {m}") == 0
+    squared = capsys.readouterr().out
+    assert run_cli("eval", "--preset", preset, "*".join([base] * m) if m else "1") == 0
+    assert squared == capsys.readouterr().out
+
+
+def test_fuzzed_ext_weights_exit_0_or_2_without_traceback(capsys):
+    """`ext --weight` strings never give a traceback, and an error is one line.
+
+    Most strings give the preset its number of coordinates, so that many get
+    past parsing to induction and Ext, singular points included; the rest
+    have the wrong length, junk, zero denominators or cyclotomic entries.
+    """
+    from hypothesis import given, settings, strategies as st
+
+    dims = {"A1": 1, "A2": 2, "B2": 2, "A1xA1swap": 2}
+    number = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["1/2", "-5/2", "4/6"]))
+    junk = st.sampled_from(["", " ", "1/0", "0/0", "z", "2*z", "x", "1.5", "1e3", "nan",
+                            "inf", "1//2", "/2", "--1", "+1", "(1)", "9" * 30])
+
+    @st.composite
+    def case(draw):
+        preset = draw(st.sampled_from(sorted(dims)))
+        n = draw(st.sampled_from([dims[preset]] * 6 + [0, dims[preset] + 1]))
+        entry = draw(st.sampled_from([number, number, number, st.one_of(number, junk)]))
+        return preset, ",".join(draw(st.lists(entry, min_size=n, max_size=n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case())
+    def run(args):
+        preset, text = args
+        code = run_cli("ext", "--preset", preset, "--weight=" + text)
+        captured = capsys.readouterr()
+        assert code in (0, 2) and "Traceback" not in captured.err, args
+        if code == 2:
+            err = captured.err.strip()
+            assert err and "\n" not in err, err
+        else:
+            assert captured.out.count("\n") == 1
+
+    run()
+
+
+def test_fuzzed_cocycle_files_exit_0_or_2_without_traceback(tmp_path, capsys):
+    """`--cocycle-file` tables never give a traceback, and an error is one line.
+
+    Half the tables are normalized and of the twisting group's size, over
+    rational presets and a cyclotomic algebra file, with their one free
+    value a root of unity, zero, a non-root or junk; the rest have any
+    shape.
+    """
+    from hypothesis import given, settings, strategies as st
+
+    cyclotomic = tmp_path / "cyclotomic.json"
+    cyclotomic.write_text(json.dumps({"types": [["A", 2]], "gamma": [[1, 0]], "k": ["1"],
+                                      "cyclotomic_order": 4}))
+    # source -> (command line, order of the twisting group)
+    sources = {"A2flip": (["--preset", "A2flip"], 2),
+               "A2flip-tw": (["--preset", "A2flip-tw"], 2),
+               "A1xA1swap": (["--preset", "A1xA1swap"], 2),
+               "B2": (["--preset", "B2"], 1),
+               "order 4": (["--algebra-file", str(cyclotomic)], 2)}
+    value = st.sampled_from(["1", "-1", "z", "z^2", "-z", "1/2", "0", "2", 1, -1])
+    junk = st.sampled_from([0, 2, None, True, 0.5, "", "1/0", "q", [], {}, [1]])
+    entry = st.one_of(value, junk)
+
+    @st.composite
+    def case(draw):
+        source = draw(st.sampled_from(sorted(sources)))
+        n = sources[source][1]
+        if draw(st.booleans()):
+            rows = [["1"] * n] + [["1"] + [draw(st.one_of(value, value, entry))
+                                           for _ in range(n - 1)] for _ in range(n - 1)]
+        else:
+            row = st.lists(entry, max_size=3)
+            rows = draw(st.one_of(st.lists(row, max_size=3),
+                                  st.lists(st.one_of(row, entry), max_size=3), entry))
+        return source, rows
+
+    path = tmp_path / "cocycle.json"
+
+    @settings(max_examples=80, deadline=None)
+    @given(case())
+    def run(args):
+        source, rows = args
+        path.write_text(json.dumps(rows))
+        argv, n = sources[source]
+        code = run_cli("eval", *argv, "--cocycle-file", str(path),
+                       "N[g1] * x1 * N[g1]" if n == 2 else "x1 * N[s1]")
+        captured = capsys.readouterr()
+        assert code in (0, 2) and "Traceback" not in captured.err, args
+        if code == 2:
+            err = captured.err.strip()
+            assert err and "\n" not in err, err
 
     run()
 

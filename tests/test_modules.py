@@ -208,6 +208,29 @@ def test_classification_k1(A1):
     assert tempered == {"Steinberg", "pi_0"}
 
 
+def test_classification_decomposes_each_module_once(A1, monkeypatch):
+    """Both predicates of a record read its one weight decomposition: on A1
+    the 5 records cost 5 decompositions, down from 18."""
+    from gradedhecke import modules
+
+    calls = []
+    original = modules.weight_decomposition
+
+    def counting(module):
+        calls.append(module)
+        return original(module)
+
+    monkeypatch.setattr(modules, "weight_decomposition", counting)
+    records = classify_rank_one(A1)
+    monkeypatch.undo()
+    assert len(records) == 5
+    assert len(calls) == 5 and len({id(m) for m in calls}) == 5
+    for r in records:
+        assert r.weights == weight_decomposition(r.module)
+        assert r.tempered == is_tempered(r.module)
+        assert r.discrete_series == is_essentially_discrete_series(r.module)
+
+
 def test_restriction_matrix_unipotent(A1):
     _, zeta, rows = zeta_rank_one(A1)
     # peeling order: Steinberg (dim 1) then pi_0 (dim 2); each new row adds

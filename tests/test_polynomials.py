@@ -63,6 +63,15 @@ def test_power_is_repeated_product():
         p ** -1
 
 
+@settings(max_examples=40, deadline=None)
+@given(polys, st.integers(0, 9))
+def test_power_by_squaring_matches_repeated_product(p, m):
+    product = Polynomial.constant(NV, Fraction(1))
+    for _ in range(m):
+        product = product * p
+    assert p ** m == product
+
+
 def test_subs_value_merges_terms():
     p = x(0) * x(2) + Polynomial.constant(NV, Fraction(2)) * x(0) + x(2) * x(2)
     assert p.subs_value(2, Fraction(-2)) == Polynomial.constant(NV, Fraction(4))

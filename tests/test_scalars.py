@@ -1,11 +1,13 @@
 import doctest
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedhecke import scalars
-from gradedhecke.scalars import Cyc, cyclotomic_poly, poly_divmod, poly_ext_gcd, poly_mul
+from gradedhecke.scalars import Cyc, cyclotomic_poly, divide_scalar, poly_divmod, \
+    poly_ext_gcd, poly_mul, split_scalar
 
 
 def test_cyclotomic_polys():
@@ -85,10 +87,15 @@ def cyc_pairs(draw):
 
 
 def assert_canonical(result, raw):
-    """result equals Cyc(order, raw) tuple for tuple, with Fraction coefficients of length deg."""
+    """result equals Cyc(order, raw) tuple for tuple: deg integer numerators
+    over a positive denominator in lowest terms, read back as deg Fractions."""
     assert type(result) is Cyc
-    assert result.coeffs == Cyc(result.order, raw).coeffs
-    assert len(result.coeffs) == len(cyclotomic_poly(result.order)) - 1
+    expected = Cyc(result.order, raw)
+    assert (result.num, result.den) == (expected.num, expected.den)
+    assert result.coeffs == expected.coeffs
+    assert len(result.num) == len(cyclotomic_poly(result.order)) - 1
+    assert all(type(n) is int for n in result.num) and type(result.den) is int
+    assert result.den > 0 and gcd(result.den, *result.num) == 1
     assert all(type(c) is Fraction for c in result.coeffs)
 
 
@@ -138,3 +145,57 @@ def test_rational_cyc_equals_hashes_and_tests_as_its_value(order, r):
     if order > 2:
         w = c + Cyc.root_of_unity(order)
         assert w != r and r != w and bool(w)
+
+
+# --- integer numerators over one denominator -------------------------------------------
+
+def test_constructor_puts_numerators_over_one_denominator_in_lowest_terms():
+    c = Cyc(4, [Fraction(1, 6), Fraction(-3, 4)])
+    assert (c.num, c.den) == ((2, -9), 12)
+    assert c.coeffs == (Fraction(1, 6), Fraction(-3, 4))
+    assert (Cyc(4, [Fraction(2, 4), Fraction(3, 6)]).num,
+            Cyc(4, [Fraction(2, 4), Fraction(3, 6)]).den) == ((1, 1), 2)
+    one = Cyc(6, [Fraction(1, 2), 0, 0, Fraction(-1, 2)])  # (1 - z^3)/2 with z^3 = -1
+    assert (one.num, one.den) == ((1, 0), 1)
+    assert (Cyc(3, []).num, Cyc(3, []).den) == ((0, 0), 1)
+
+
+@pytest.mark.parametrize("c", [Cyc(3, [Fraction(1, 2), Fraction(-5, 6)]),
+                               Cyc(8, [0, Fraction(7, 4), 0, Fraction(1, 10)]),
+                               Cyc(5, [Fraction(-3, 2)]), Cyc(4, [2, -1])])
+def test_split_and_divide_scalar_round_trip(c):
+    n, d = split_scalar(c)
+    assert type(n) is Cyc and n.den == 1 and n.order == c.order and d == c.den
+    assert n == c * c.den
+    back = divide_scalar(n, d)
+    assert back == c and (back.num, back.den) == (c.num, c.den)
+    assert divide_scalar(n * 3, d * 3) == c
+
+
+def test_rational_half_equals_and_hashes_like_its_fraction():
+    c = Cyc(3, [Fraction(1, 2)])
+    assert (c.num, c.den) == ((1, 0), 2)
+    assert c == Fraction(1, 2) and Fraction(1, 2) == c
+    assert c != 1 and c != Fraction(1, 3) and c != 0
+    assert hash(c) == hash(Fraction(1, 2))
+    assert {c: 1}[Fraction(1, 2)] == 1
+    assert c.rational_value() == Fraction(1, 2)
+
+
+def test_rational_operations_with_a_denominator_match_the_constructor():
+    a = Cyc(3, [Fraction(1, 6), Fraction(-2, 9)])
+    for r in (Fraction(3, 4), Fraction(-2, 3), Fraction(9, 2), 6, 0):
+        first, rest = a.coeffs[0], list(a.coeffs[1:])
+        for result in (a + r, r + a):
+            assert_canonical(result, [first + r] + rest)
+        for result in (a * r, r * a):
+            assert_canonical(result, [x * r for x in a.coeffs])
+        assert_canonical(a - r, [first - r] + rest)
+    assert_canonical(a * Fraction(18, 1), [3, -4])
+    assert_canonical(a * a, convolution(a.coeffs, a.coeffs))
+    assert_canonical(a + Cyc(3, [Fraction(-1, 6), Fraction(2, 9)]), [])
+
+
+def test_hash_of_a_non_rational_cyc_is_that_of_its_fraction_coefficients():
+    for c in (Cyc(4, [1, 2]), Cyc(4, [Fraction(1, 2), 3]), Cyc(5, [0, 0, Fraction(-7, 3)])):
+        assert hash(c) == hash((c.order, c.coeffs))

@@ -3,13 +3,19 @@ Batch command line: verify, eval, params, classify, ext, export.
 
 Exit codes: 0 on success, 1 when a verification or classification check
 fails, 2 on input errors.  All output is deterministic for a fixed seed and
-configuration; export writes canonical JSON with sorted keys.
+configuration; export writes canonical JSON: sorted keys and no spaces.  The
+structure table, the one export that grows as |W|^2, is written as that
+text directly, with no dict tree and no `json.dumps` over it; the other
+exports are small and go through `json.dumps`.  The argument parser is
+built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -193,8 +199,8 @@ def cmd_ext(args) -> int:
     algebra = _algebra_from_args(args)
     if algebra.mode == "generic":
         algebra = algebra.with_k(algebra.k, mode="r1")
-    weight = tuple(parse_scalar(c) for c in args.weight.split(",")) if args.weight \
-        else tuple(Fraction(i + 1) for i in range(algebra.rs.dim))
+    weight = tuple(parse_scalar(c) for c in args.weight.split(",")) \
+        if args.weight is not None else tuple(Fraction(i + 1) for i in range(algebra.rs.dim))
     try:
         table = ext_self_induced(algebra, weight)
     except ValueError as err:
@@ -206,30 +212,30 @@ def cmd_ext(args) -> int:
 
 def cmd_export(args) -> int:
     algebra = _algebra_from_args(args)
-    payload = {"kind": args.what, "seed": args.seed}
     if args.what == "structure":
-        payload["table"] = _structure_constants(algebra, args.degree_cap)
-    elif args.what == "ext":
+        # the one payload that grows as |W|^2 is written as text directly
+        table = _structure_json(algebra, args.degree_cap)
+        text = f'{{"kind":"structure","seed":{args.seed},"table":{table}}}\n'
+    else:
+        payload = {"kind": args.what, "seed": args.seed}
         base = algebra.with_k(algebra.k, mode="r1") if algebra.mode == "generic" \
             else algebra
-        weight = tuple(Fraction(i + 1) for i in range(algebra.rs.dim))
-        payload["ext"] = ext_self_induced(base, weight).to_json()
-        generic = algebra if algebra.mode == "generic" else None
-        if generic:
-            payload["koszul_dual"] = {str(n): v for n, v in
-                                      sorted(koszul_dual_dims(generic).items())}
-    elif args.what == "classification":
-        base = algebra.with_k(algebra.k, mode="r1") if algebra.mode == "generic" \
-            else algebra
-        records = classify_rank_one(base)
-        payload["modules"] = [
-            {"label": r.label, "dim": r.module.dim,
-             "weights": [[scalar_str(c) for c in d.weight] for d in r.weights],
-             "tempered": r.tempered, "discrete_series": r.discrete_series}
-            for r in records]
-        _, zeta, _ = zeta_rank_one(base)
-        payload["matching"] = {label: block.label() for label, block in zeta.items()}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        if args.what == "ext":
+            weight = tuple(Fraction(i + 1) for i in range(algebra.rs.dim))
+            payload["ext"] = ext_self_induced(base, weight).to_json()
+            if algebra.mode == "generic":
+                payload["koszul_dual"] = {str(n): v for n, v in
+                                          sorted(koszul_dual_dims(algebra).items())}
+        else:
+            records = classify_rank_one(base)
+            payload["modules"] = [
+                {"label": r.label, "dim": r.module.dim,
+                 "weights": [[scalar_str(c) for c in d.weight] for d in r.weights],
+                 "tempered": r.tempered, "discrete_series": r.discrete_series}
+                for r in records]
+            _, zeta, _ = zeta_rank_one(base)
+            payload["matching"] = {label: block.label() for label, block in zeta.items()}
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -238,8 +244,14 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _structure_constants(algebra: HeckeAlgebra, degree_cap: int):
-    """Products of all PBW basis elements up to the polynomial degree cap.
+def _structure_json(algebra: HeckeAlgebra, degree_cap: int) -> str:
+    """The products of all PBW basis elements up to the polynomial degree
+    cap, as canonical JSON text.
+
+    The text is `json.dumps(table, sort_keys=True, separators=(",", ":"))`
+    of the table {"basis": [[label, exponents]], "products": [{"i", "j",
+    "terms": [[label, exponents, coefficient string]]}]}, with labels and
+    coefficient strings encoded by `json.dumps`; no dict tree is built.
 
     The table is bilinear.  With {t: q_t} the result of moving x^a through
     N_v (`_move_poly`, its numerators divided by its denominator),
@@ -250,8 +262,9 @@ def _structure_constants(algebra: HeckeAlgebra, degree_cap: int):
     group product, one cocycle value and an exponent shift by b per t.
     Nothing needs merging: the twist c(u, v) depends only on the Gamma
     parts, so one value serves every t, and distinct t give distinct u t.
-    A shift by b keeps exponents in lexicographic order, so the pieces of
-    each q_t are sorted and formatted once per (a, v, twist).
+    A shift by b keeps exponents in lexicographic order, so the terms of
+    each q_t are sorted and their coefficients encoded once per (a, v,
+    twist), and the text of each term after its label once per b.
     """
     from itertools import product as iproduct
 
@@ -266,7 +279,10 @@ def _structure_constants(algebra: HeckeAlgebra, degree_cap: int):
     monomials.sort()
     group = algebra.group
     elements = group.elements
-    labels = [_word_label(algebra, w) for w in elements]
+    labels = [json.dumps(_word_label(algebra, w)) for w in elements]
+    # the terms of N_w q x^b are "[" + label + tail for each tail, joined by ","
+    opens = ["[" + label for label in labels]
+    seps = [",[" + label for label in labels]
     basis = [(w, e) for w in elements for e in monomials]
     # (a, v.index) -> [(t, sorted terms of q_t)], every move the table needs
     moves = {}
@@ -276,29 +292,39 @@ def _structure_constants(algebra: HeckeAlgebra, degree_cap: int):
             moves[a, v.index] = [(elements[ti], sorted((e, divide_scalar(n, den))
                                                        for e, n in q.items()))
                                  for ti, q in moved.items()]
-    # (a, v.index, u.gamma) -> [(t, [(exponent, coefficient string)])]
-    formatted: dict[tuple, list] = {}
+    # (a, v.index, u.gamma) -> [(t, per b the tails of the terms of c(u, v) q_t x^b)]
+    tails: dict[tuple, list] = {}
     entries = []
     for i, (u, a) in enumerate(basis):
+        head = f'{{"i":{i},"j":'
         j = 0
         for v in elements:
-            pieces = formatted.get((a, v.index, u.gamma))
+            pieces = tails.get((a, v.index, u.gamma))
             if pieces is None:
                 twist = algebra.cocycle.value(u, v)
                 pieces = [] if twist == 0 else [
-                    (t, [(e, scalar_str(c if twist == 1 else twist * c)) for e, c in terms])
+                    (t, _term_tails(terms, twist, monomials))
                     for t, terms in moves[a, v.index]]
-                formatted[a, v.index, u.gamma] = pieces
-            products = sorted((group.multiply(u, t).index, strings) for t, strings in pieces)
-            for b in monomials:
-                entries.append({"i": i, "j": j, "terms": [
-                    [labels[wi], [x + y for x, y in zip(e, b)], s]
-                    for wi, strings in products for e, s in strings]})
+                tails[a, v.index, u.gamma] = pieces
+            runs = [(opens[wi], seps[wi], per_b) for wi, per_b in
+                    sorted((group.multiply(u, t).index, per_b) for t, per_b in pieces)]
+            for bi in range(len(monomials)):
+                terms = ",".join(o + sep.join(per_b[bi]) for o, sep, per_b in runs)
+                entries.append(f'{head}{j},"terms":[{terms}]}}')
                 j += 1
-    return {
-        "basis": [[labels[w.index], list(e)] for w, e in basis],
-        "products": entries,
-    }
+    basis_text = ",".join(f"[{labels[w.index]},{_json_ints(e)}]" for w, e in basis)
+    return f'{{"basis":[{basis_text}],"products":[{",".join(entries)}]}}'
+
+
+def _term_tails(terms, twist, monomials) -> list[list[str]]:
+    """Per shift b, the text after the label of each term of twist * q x^b."""
+    encoded = [(e, json.dumps(scalar_str(c if twist == 1 else twist * c))) for e, c in terms]
+    return [[f",{_json_ints(map(operator.add, e, b))},{coefficient}]"
+             for e, coefficient in encoded] for b in monomials]
+
+
+def _json_ints(values) -> str:
+    return "[" + ",".join(map(str, values)) + "]"
 
 
 def _word_label(algebra, w) -> str:
@@ -308,7 +334,9 @@ def _word_label(algebra, w) -> str:
     return "*".join(letters) if letters else "e"
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gradedhecke",
         description="exact computations in twisted graded Hecke algebras")
@@ -319,29 +347,24 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=None)
     p.add_argument("--suites", help="comma-separated suite names")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("eval", help="normalize an element expression")
     _add_algebra_options(p)
     p.add_argument("expression")
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("params", help="geometric parameters from a Lie fixture")
     p.add_argument("lie_file", help="JSON Lie-algebra fixture")
     p.add_argument("--v", help="nilpotent element as JSON {name: coeff}")
     p.add_argument("--check-f4", action="store_true",
                    help="validate two-length ratios against the admissible table")
-    p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("classify", help="rank-one module classification")
     _add_algebra_options(p, mode_default="r1")
     p.add_argument("--module-file", help="validate and decompose a module JSON")
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("ext", help="self-extensions of an induced module")
     _add_algebra_options(p, mode_default="r1")
     p.add_argument("--weight", help="comma-separated exact coordinates")
-    p.set_defaults(fn=cmd_ext)
 
     p = sub.add_parser("export", help="deterministic JSON export")
     _add_algebra_options(p)
@@ -349,11 +372,16 @@ def main(argv=None) -> int:
     p.add_argument("--degree-cap", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (stdout when omitted)")
-    p.set_defaults(fn=cmd_export)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # the command is looked up by name on each call, not bound into the parser,
+    # so that a wrapper set on this module later is still called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

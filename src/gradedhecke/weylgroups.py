@@ -78,6 +78,7 @@ class ExtendedWeylGroup:
         self._by_key: dict[tuple, GroupElement] = {}
         self._enumerate(size_cap)
         self.identity = self.elements[0]
+        self._images: dict[int, list] = {}   # act_polynomial's images, per element index
 
     # -- Gamma --------------------------------------------------------------------
     def _close_gamma(self, gens):
@@ -213,16 +214,21 @@ class ExtendedWeylGroup:
         return tuple(out) + tuple(point[self.rs.rank:])
 
     def act_polynomial(self, u: GroupElement, poly):
-        """^u p: substitute x_j -> sum_i m[i][j] x_i, r fixed."""
-        from .polynomials import Polynomial
+        """^u p: substitute x_j -> sum_i m[i][j] x_i, r fixed.
 
-        nv = self.rs.nvars
-        m = u.key
-        images = []
-        for j in range(self.rs.dim):
-            images.append(Polynomial.linear(
-                nv, [Fraction(m[i][j]) for i in range(self.rs.dim)] + [Fraction(0)]))
-        images.append(Polynomial.variable(nv, nv - 1))  # r
+        The images of x_1 .. x_d and r are built once per element, on its
+        first action.
+        """
+        images = self._images.get(u.index)
+        if images is None:
+            from .polynomials import Polynomial
+
+            nv = self.rs.nvars
+            m = u.key
+            images = [Polynomial.linear(nv, [Fraction(m[i][j]) for i in range(self.rs.dim)]
+                                        + [Fraction(0)]) for j in range(self.rs.dim)]
+            images.append(Polynomial.variable(nv, nv - 1))  # r
+            self._images[u.index] = images
         return poly.substitute_linear(images)
 
     # -- reflections and characters ---------------------------------------------------

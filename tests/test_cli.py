@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import pathlib
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedhecke.cli import _structure_constants, main
+from gradedhecke.cli import _parser, _structure_json, main
 from gradedhecke.expressions import POWER_DEGREE_CAP
 from gradedhecke.presets import algebra_from_config, build_preset
 from gradedhecke.verification import ALL_SUITES, SuiteResult
@@ -31,6 +32,24 @@ def test_eval_square(capsys):
 def test_eval_involution(capsys):
     assert run_cli("eval", "--preset", "A1", "IM(N[s]*x)") == 0
     assert capsys.readouterr().out.strip() == "N[s]*(x)"
+
+
+def test_parser_serves_again_after_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", "--preset", "no-such-preset", "x")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli("eval", "--preset", "A1", "--k", "1", "x * N[s]") == 0
+    assert capsys.readouterr().out.strip() == "N[e]*(2*r) + N[s]*(-x)"
+    assert _parser() is _parser()
+
+
+def test_command_is_looked_up_after_the_parser_is_built(monkeypatch):
+    import gradedhecke.cli as cli
+
+    _parser()
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: 7)
+    assert run_cli("eval", "--preset", "A1", "x") == 7
 
 
 def test_eval_parse_error(capsys):
@@ -302,8 +321,31 @@ def _with_cocycle(algebra, rows):
                  id="A2flip-tw-cocycle-0"),
 ])
 def test_structure_table_matches_pairwise_products(make, degree_cap):
+    """The writer's text is the canonical JSON of the pairwise table."""
     algebra = make()
-    assert _structure_constants(algebra, degree_cap) == _pairwise_table(algebra, degree_cap)
+    assert _structure_json(algebra, degree_cap) == json.dumps(
+        _pairwise_table(algebra, degree_cap), sort_keys=True, separators=(",", ":"))
+
+
+# sha256 of `export --preset P structure --degree-cap 1 --seed 11`, as recorded
+# in bench/reference_digests.json
+STRUCTURE_EXPORT_SHA256 = {
+    "A2flip-tw": "9d448f0a11971f78d41fd707920ea91cec92c770eeba24150723988a22bd9eb1",
+    "B2": "5ba3b44f369fc22f15e87bfe559e4492739bea4733c37309dec3812e53be2d50",
+    "G2": "4b97de70baa879d9972277886b5d184ade7c2768f7a4749c8538db8fd569e515",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(STRUCTURE_EXPORT_SHA256))
+def test_structure_export_bytes_are_pinned(preset, tmp_path, capsys):
+    argv = ["export", "--preset", preset, "structure", "--degree-cap", "1", "--seed", "11"]
+    out = tmp_path / "structure.json"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == STRUCTURE_EXPORT_SHA256[preset]
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out.encode() == data
 
 
 def test_classification_export(capsys):
@@ -335,6 +377,11 @@ def test_ext_rejects_weight_of_wrong_arity(capsys):
 def test_ext_rejects_zero_denominator_weight(capsys):
     assert run_cli("ext", "--preset", "B2", "--weight", "1,1/0") == 2
     assert "zero denominator" in _one_line_error(capsys)
+
+
+def test_ext_rejects_empty_weight(capsys):
+    assert run_cli("ext", "--preset", "A1", "--weight", "") == 2
+    assert "''" in _one_line_error(capsys)
 
 
 def test_eval_rejects_zero_denominator_parameter(capsys):

@@ -207,6 +207,21 @@ def test_action_matches_pow_oracle_with_fraction_coefficients(name):
                           lambda r: Fraction(r.randint(-5, 5) or 1, r.randint(1, 4)))
 
 
+@pytest.mark.parametrize("name", ["G2", "A2flip-tw"])
+def test_cached_action_matches_fresh_images(name):
+    """Every action after an element's first reuses its images, unchanged."""
+    algebra = build_preset(name)
+    group = algebra.group
+    rng = random.Random(f"cache-{name}")
+    for u in group.elements:
+        images = _action_images(group, u)
+        for _ in range(3):
+            p = _random_polynomial(rng, algebra.nvars,
+                                   lambda r: Fraction(r.randint(-5, 5) or 1, r.randint(1, 4)))
+            assert group.act_polynomial(u, p) == p.substitute_linear(images)
+    assert sorted(group._images) == list(range(len(group)))
+
+
 def test_action_matches_pow_oracle_with_cyclotomic_coefficients():
     b2 = algebra_from_config({"types": [["B", 2]], "k": ["z", "1"],
                               "cyclotomic_order": 3})

@@ -38,7 +38,7 @@ from operator import add
 
 from .polynomials import Polynomial, _accumulate, _wrap, divide_by_linear
 from .rootdata import RootSystem
-from .scalars import divide_scalar, split_scalar
+from .scalars import divide_scalar, exact_scalar, split_scalar
 from .weylgroups import Cocycle, EpsilonCharacter, ExtendedWeylGroup, GroupElement, ParameterFunction
 
 __all__ = ["HeckeAlgebra", "HeckeElement", "Grading", "TensorElement"]
@@ -380,7 +380,7 @@ class HeckeAlgebra:
         self._assert_mine(a)
         if self.mode == "r1":
             raise ValueError("element already specialized")
-        c = r_value if isinstance(r_value, Fraction) else Fraction(r_value)
+        c = exact_scalar(r_value)
         k_new = self.k if c == 1 else self.k.scaled(c)
         target = self.with_k(k_new, mode="r1")
         terms = {}

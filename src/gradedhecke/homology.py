@@ -37,6 +37,7 @@ from .linalg import block_matrix, identity, mat_add, mat_mul, mat_scale, mat_sub
     rank, zero_matrix
 from .modules import FiniteDimModule, action_matrix, induce_from_character, is_regular
 from .polynomials import Polynomial
+from .scalars import exact_scalar
 
 __all__ = [
     "ChainComplex", "ExtTable", "koszul_resolution",
@@ -222,15 +223,16 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
     shifted coordinate operators acting on the restricted induced module.
     Raises for non-regular weights, where that identification breaks.
     """
-    if not is_regular(algebra, weight):
+    point = tuple(exact_scalar(c) for c in weight)
+    r_value = exact_scalar(r_value)
+    if not is_regular(algebra, point):
         raise ValueError(f"weight {weight} is not regular for this group")
-    base = algebra
     if algebra.mode != "r1":
         raise ValueError("Ext tables are computed in the r = 1 specialization")
-    mod = module or induce_from_character(base, weight, r_value)
+    mod = module or induce_from_character(algebra, point, r_value)
     n = mod.dim
     # commuting operators: X_i - weight_i, and R - r_value (always zero here)
-    ops = [mat_sub(mod.x_matrices[i], mat_scale(identity(n), Fraction(weight[i])))
+    ops = [mat_sub(mod.x_matrices[i], mat_scale(identity(n), point[i]))
            for i in range(algebra.rs.dim)]
     ops.append(zero_matrix(n, n))
     dims = _koszul_cohomology_dims(ops)

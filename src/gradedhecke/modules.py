@@ -8,8 +8,13 @@ twisted group law, the Gamma conjugation rule and the braid relation with
 its divided-difference correction.
 
 Induction from a character of the polynomial part produces the module with
-basis {N_w (x) 1}; its matrices come straight from the straightening kernel,
-so every test on induced modules exercises the multiplication too.
+basis {N_w (x) 1}, w in the group's order (sorted by length).  Its matrices
+are read off that structure, not straightened: every N generator is
+monomial and every x matrix upper triangular with the W-orbit of the weight
+on its diagonal, so the weights of an induced module are read off the
+diagonal.  `action_matrix` still builds any element's matrix through the
+straightening kernel; an oracle test compares the induced matrices with it,
+so the module tests keep exercising the multiplication.
 
 All matrix work goes through `linalg`, and a module holds its matrices as
 `linalg.Matrix` values, integer rows over one denominator: `x_matrices`,
@@ -20,14 +25,17 @@ a cyclotomic order is rejected with a ValueError.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .groupalgebra import TwistedGroupAlgebra
 from .hecke import HeckeAlgebra
-from .linalg import char_poly, identity, mat_add, mat_mul, mat_scale, mat_sub, matrix, \
-    nullspace, restrict, split_space, transpose, zero_matrix
-from .polynomials import Polynomial
+from .linalg import Matrix, char_poly, identity, mat_add, mat_mul, mat_scale, mat_sub, \
+    matrix, nullspace, restrict, split_space, transpose, zero_matrix
+from .polynomials import Polynomial, _wrap
+from .scalars import exact_scalar, split_scalar
 
 __all__ = [
     "FiniteDimModule", "WeightDatum", "induce_from_character",
@@ -231,26 +239,106 @@ def _require_rational(algebra: HeckeAlgebra):
 
 def induce_from_character(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
                           validate=True) -> FiniteDimModule:
-    """The induced module with basis {N_w (x) 1}, via straightening.
+    """The induced module with basis {N_w (x) 1}, w in the group's order.
 
-    `weight` is a point of t in coordinate values; generators act through
-    the normal form of g * N_w evaluated at (weight, r_value).
+    `weight` is a point of t in coordinate values, and r acts by `r_value`.
+    The matrices are read off the module's structure, with no straightening:
+    each N generator is monomial, N_g e_w = c(g, w) e_{gw}, and the x
+    matrices come from `_x_matrices`.  They equal the `action_matrix` of
+    each generator at (weight, r_value), which a test checks.
     """
-    group = algebra.group
     rs = algebra.rs
     _require_rational(algebra)
     if len(weight) != rs.dim:
         raise ValueError(f"weight needs {rs.dim} coordinates")
-    if algebra.mode == "r1" and Fraction(r_value) != 1:
+    point = [exact_scalar(c) for c in weight]
+    r = exact_scalar(r_value)
+    if algebra.mode == "r1" and r != 1:
         raise ValueError("the r1 specialization fixes r = 1; rescale k instead")
-    point = [Fraction(c) for c in weight] + [Fraction(r_value)]
-    x_mats = [action_matrix(algebra, algebra.x(j), point) for j in range(rs.dim)]
-    gens = {}
-    for i in range(rs.rank):
-        gens[("s", i)] = action_matrix(algebra, algebra.N(group.simple(i)), point)
+    group = algebra.group
+    gens = [("s", i, group.simple(i)) for i in range(rs.rank)]
+    gens += [("g", gi, group.gamma_element(gi)) for gi in range(1, len(group.gamma_elements))]
+    # left[g][w] = index of g w
+    left = {g.index: [group.multiply(g, w).index for w in group.elements] for *_, g in gens}
+    mats = {(kind, i): _monomial_matrix(algebra, g, left[g.index]) for kind, i, g in gens}
+    x_mats = _x_matrices(algebra, point + [r], left)
+    return FiniteDimModule(algebra, x_mats, mats, r, validate=validate)
+
+
+def _monomial_matrix(algebra: HeckeAlgebra, g, left) -> Matrix:
+    """The Matrix of N_g on {N_w (x) 1}: column w holds c(g, w) in row g w."""
+    elements = algebra.group.elements
+    values = [split_scalar(algebra.cocycle.value(g, w)) for w in elements]
+    den = lcm(*(d for _, d in values))
+    rows = [[0] * len(elements) for _ in elements]
+    for w, (c, d) in enumerate(values):
+        rows[left[w]][w] = c * (den // d)
+    return Matrix(rows, den)
+
+
+def _x_matrices(algebra: HeckeAlgebra, point, left) -> list[Matrix]:
+    """The x matrices of the induced module at `point` (weight, then r).
+
+    Columns are built in the group's order, which is sorted by length:
+      * for a pure-Gamma element g, x_j N_g = N_g (^{g^-1} x_j), so
+        X(x_j) e_g = (^{g^-1} x_j)(weight) e_g;
+      * for w = s u with l(u) = l(w) - 1, x_j N_s = N_s (^s x_j) + k_s r D_s x_j
+        and N_s N_u = N_w (a valid cocycle is normalized, so c(s, u) = 1), so
+        X(x_j) e_w = N_s X(^s x_j) e_u + (k_s r D_s x_j) e_u.
+    ^s x_j, k_s r D_s x_j and ^{g^-1} x_j are the algebra's memoized exchange
+    steps of the linear monomials.  The group acts on the coordinates by
+    integer matrices, so ^s x_j has integer coefficients, and the only
+    fractions are the constants: the weight, the corrections k_s r D_s x_j
+    at r and the pure-Gamma diagonal values.  Every column is a dict of
+    integer numerators over `den`, the lcm of their denominators.
+    """
+    group, rank, dim = algebra.group, algebra.rs.rank, algebra.rs.dim
+    units = [tuple(int(t == j) for t in range(algebra.nvars)) for j in range(dim)]
+
+    def steps(g):
+        return [algebra._steps.get((e, g)) or algebra._step(e, g) for e in units]
+
+    def value(d, pairs):
+        """The value at point of the polynomial with (exponent, numerator) pairs over d."""
+        return _wrap(algebra.nvars, dict(pairs)).evaluate(point) / d
+
+    # per simple reflection and coordinate j: ([(t, coefficient of x_t in ^s x_j)],
+    # k_s r D_s x_j at point)
+    simple = [[([(e.index(1), c // d) for e, c in moved], value(d, corr))
+               for d, moved, corr in steps(i)] for i in range(rank)]
+    # the diagonal value of each pure-Gamma element, per coordinate
+    diagonal = {0: point[:dim]}
     for gi in range(1, len(group.gamma_elements)):
-        gens[("g", gi)] = action_matrix(algebra, algebra.N(group.gamma_element(gi)), point)
-    return FiniteDimModule(algebra, x_mats, gens, Fraction(r_value), validate=validate)
+        diagonal[gi] = [value(d, moved) for d, moved, _ in steps(rank + gi)]
+    den = lcm(*(v.denominator for vs in diagonal.values() for v in vs),
+              *(corr.denominator for per_j in simple for _, corr in per_j))
+
+    cols = [[None] * len(group) for _ in range(dim)]
+    for w in group.elements:
+        wi = w.index
+        if not w.word:
+            for j, v in enumerate(diagonal[w.gamma]):
+                cols[j][wi] = {wi: v.numerator * (den // v.denominator)}
+            continue
+        s_left = left[group.simple(w.word[0]).index]
+        ui = s_left[wi]   # u = s w
+        for j, (moved, corr) in enumerate(simple[w.word[0]]):
+            col: dict[int, int] = {}
+            for t, a in moved:
+                for row, v in cols[t][ui].items():
+                    col[s_left[row]] = col.get(s_left[row], 0) + a * v
+            if corr:
+                col[ui] = col.get(ui, 0) + corr.numerator * (den // corr.denominator)
+            cols[j][wi] = col
+    n = len(group)
+    out = []
+    for per_j in cols:
+        rows = [[0] * n for _ in range(n)]
+        for w, col in enumerate(per_j):
+            for row, v in col.items():
+                rows[row][w] = v
+        out.append(Matrix(rows, den))
+    return out
 
 
 def action_matrix(algebra: HeckeAlgebra, element, point):
@@ -270,12 +358,12 @@ def action_matrix(algebra: HeckeAlgebra, element, point):
 
 def weight_multiset_oracle(algebra: HeckeAlgebra, weight) -> list[tuple]:
     """{w . weight : w in the group}, computed purely from the group action."""
-    return sorted(algebra.group.act_point(w, tuple(Fraction(c) for c in weight))
-                  for w in algebra.group.elements)
+    pt = tuple(exact_scalar(c) for c in weight)
+    return sorted(algebra.group.act_point(w, pt) for w in algebra.group.elements)
 
 
 def is_regular(algebra: HeckeAlgebra, weight) -> bool:
-    pt = tuple(Fraction(c) for c in weight)
+    pt = tuple(exact_scalar(c) for c in weight)
     if len(pt) != algebra.rs.dim:
         raise ValueError(f"weight needs {algebra.rs.dim} coordinates")
     return all(algebra.group.act_point(w, pt) != pt
@@ -288,6 +376,23 @@ def is_regular(algebra: HeckeAlgebra, weight) -> bool:
 
 def weight_decomposition(module: FiniteDimModule) -> list[WeightDatum]:
     """Exact generalized joint eigenspace decomposition of the x action.
+
+    When every x matrix is upper triangular, as on an induced module, the
+    joint generalized eigenspaces of the commuting x matrices have the
+    dimensions of the counts of the diagonal tuples, so the weights are read
+    off the diagonal.  Any other module goes through `_split_weights`.
+    """
+    xs = module.x_matrices
+    if not all(not any(row[:i]) for x in xs for i, row in enumerate(x)):
+        return _split_weights(module)
+    # each x has one positive den, so the numerator tuples sort as the weights do
+    counts = Counter(tuple(x[i][i] for x in xs) for i in range(module.dim))
+    return [WeightDatum(tuple(Fraction(v, x.den) for v, x in zip(key, xs)), m)
+            for key, m in sorted(counts.items())]
+
+
+def _split_weights(module: FiniteDimModule) -> list[WeightDatum]:
+    """The weights by elimination: split the space along each x matrix in turn.
 
     Raises ValueError with the offending characteristic polynomial when a
     coordinate matrix has an irrational eigenvalue.
@@ -307,8 +412,7 @@ def weight_decomposition(module: FiniteDimModule) -> list[WeightDatum]:
         spaces = new_spaces
     out: dict[tuple, int] = {}
     for basis, weight in spaces:
-        full = weight + tuple(Fraction(0) for _ in range(module.algebra.rs.dim - len(weight)))
-        out[full] = out.get(full, 0) + (n if basis is None else len(basis))
+        out[weight] = out.get(weight, 0) + (n if basis is None else len(basis))
     data = [WeightDatum(w, m) for w, m in sorted(out.items()) if m]
     assert sum(d.multiplicity for d in data) == n
     return data

@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["Fraction", "frac", "Cyc", "scalar_str", "cyclotomic_poly",
+__all__ = ["Fraction", "frac", "exact_scalar", "Cyc", "scalar_str", "cyclotomic_poly",
            "split_scalar", "divide_scalar"]
 
 
@@ -51,6 +51,22 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
+
+
+def exact_scalar(x, cyclotomic=False):
+    """A caller's scalar, checked exact: an int, a string like '3/4' or a
+    Fraction as a Fraction, and a `Cyc` as itself where `cyclotomic` allows
+    one.  Anything else raises TypeError: floats, complex numbers and bools,
+    which would otherwise pass as binary rationals or as 0 and 1.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        return Fraction(x)
+    if cyclotomic and isinstance(x, Cyc):
+        return x
+    kinds = "an int, a Fraction or a Cyc" if cyclotomic else "an int or a Fraction"
+    raise TypeError(f"expected an exact scalar ({kinds}), not {x!r}")
 
 
 def split_scalar(c) -> tuple:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rootdata import RootSystem
-from .scalars import frac, scalar_str
+from .scalars import exact_scalar, scalar_str
 
 __all__ = [
     "GroupElement", "ExtendedWeylGroup", "Cocycle", "ParameterFunction",
@@ -425,9 +425,8 @@ class ParameterFunction:
         for i in range(rs.rank):
             e = [0] * rs.rank
             e[i] = 1
+            v = exact_scalar(simple_values[i], cyclotomic=True)
             for b in group.root_orbit(tuple(e)):
-                v = frac(simple_values[i]) if isinstance(simple_values[i], (int, str)) \
-                    else simple_values[i]
                 if b in values and values[b] != v:
                     raise ValueError(
                         f"simple values conflict on the orbit of root {b}")
@@ -436,7 +435,7 @@ class ParameterFunction:
 
     @classmethod
     def constant(cls, group: ExtendedWeylGroup, value):
-        v = frac(value) if isinstance(value, (int, str)) else value
+        v = exact_scalar(value, cyclotomic=True)
         return cls(group, {b: v for b in group.rs.roots})
 
     def __call__(self, beta):

@@ -3,13 +3,20 @@ import zlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gradedhecke import modules
 from gradedhecke.groupalgebra import TwistedGroupAlgebra
-from gradedhecke.modules import FiniteDimModule, classify_rank_one, \
+from gradedhecke.hecke import HeckeAlgebra
+from gradedhecke.homology import ext_self_induced
+from gradedhecke.linalg import matrix
+from gradedhecke.modules import FiniteDimModule, action_matrix, classify_rank_one, \
     induce_from_character, is_essentially_discrete_series, is_regular, is_tempered, \
     restrict_to_group_algebra, weight_decomposition, weight_multiset_oracle, \
     zeta_rank_one
 from gradedhecke.presets import PRESETS, build_preset
+from gradedhecke.scalars import Cyc, exact_scalar
+from gradedhecke.weylgroups import Cocycle, ParameterFunction
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +115,7 @@ def test_validate_catches_gamma_conjugation_a2flip_tw():
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_induced_x_matrices_are_triangular_with_the_orbit_on_the_diagonal(name):
-    """A cross-check of weight_decomposition's inputs, not a shortcut in it."""
+    """The premise of weight_decomposition's diagonal reading on induced modules."""
     H = build_preset(name, mode="r1")
     rng = random.Random(zlib.crc32(name.encode()))
     found = 0
@@ -335,3 +342,167 @@ def test_module_generators_are_checked_at_construction(A1):
     # the matrices read back as the Fractions they were given
     st = steinberg(A1)
     assert st.x == [[[Fraction(-1)]]] and st.generators == {("s", 0): [[Fraction(-1)]]}
+
+
+# --- the induced-module builder against straightening --------------------------------
+
+def _weights(algebra, rng, regular, singular):
+    """`regular` regular weights and `singular` non-regular ones (0 first), each
+    with one random denominator 1, 2 or 3."""
+    out = [tuple(Fraction(0) for _ in range(algebra.rs.dim))][:singular]
+    group = algebra.group
+    while len(out) < regular + singular:
+        d = rng.randint(1, 3)
+        lam = tuple(Fraction(rng.randint(-9, 9), d) for _ in range(algebra.rs.dim))
+        if len(out) >= singular:
+            if is_regular(algebra, lam):
+                out.append(lam)
+        else:
+            # lam + s lam is fixed by the reflection s
+            s = group.simple(rng.randrange(algebra.rs.rank))
+            out.append(tuple(a + b for a, b in zip(lam, group.act_point(s, lam))))
+    return out
+
+
+def _assert_matches_straightening(algebra, lam, r):
+    """Every x and N matrix of ind(lam) is the action_matrix of its generator."""
+    mod = induce_from_character(algebra, lam, r)
+    point = list(lam) + [r]
+    for j, x in enumerate(mod.x_matrices):
+        assert x == matrix(action_matrix(algebra, algebra.x(j), point)), (lam, r, j)
+    group = algebra.group
+    for key, m in mod.generator_matrices.items():
+        g = group.simple(key[1]) if key[0] == "s" else group.gamma_element(key[1])
+        assert m == matrix(action_matrix(algebra, algebra.N(g), point)), (lam, r, key)
+    assert weight_decomposition(mod) == modules._split_weights(mod)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_induced_matrices_match_straightening(name):
+    rng = random.Random(zlib.crc32(f"induced-{name}".encode()))
+    r1 = build_preset(name, mode="r1")
+    for lam in _weights(r1, rng, 2, 2):
+        _assert_matches_straightening(r1, lam, Fraction(1))
+    generic = build_preset(name)
+    for r in (Fraction(0), Fraction(1, 2), Fraction(3)):
+        for lam in _weights(generic, rng, 1, 1):
+            _assert_matches_straightening(generic, lam, r)
+
+
+@pytest.mark.parametrize("name, values", [
+    ("A2flip-tw", [Fraction(1, 3)]), ("B2", [Fraction(1, 3), Fraction(5, 2)]),
+    ("G2", [Fraction(1, 3), Fraction(5, 2)])])
+def test_induced_matrices_match_straightening_at_fractional_k(name, values):
+    rng = random.Random(zlib.crc32(f"induced-k-{name}".encode()))
+    base = build_preset(name)
+    k = ParameterFunction.from_simple_values(base.group, values)
+    for mode, rs in (("r1", [Fraction(1)]),
+                     ("generic", [Fraction(0), Fraction(1, 2), Fraction(3)])):
+        algebra = base.with_k(k, mode=mode)
+        for r in rs:
+            for lam in _weights(algebra, rng, 1, 1):
+                _assert_matches_straightening(algebra, lam, r)
+
+
+@pytest.mark.parametrize("twist", [Fraction(2), Fraction(1, 2), Fraction(-1)])
+def test_induced_matrices_match_straightening_with_cocycle_twists(twist):
+    rng = random.Random(zlib.crc32(f"induced-twist-{twist}".encode()))
+    base = build_preset("A2flip-tw")
+    cocycle = Cocycle(base.group, [[Fraction(1), Fraction(1)], [Fraction(1), twist]],
+                      normalize=False)
+    for mode, r in (("r1", Fraction(1)), ("generic", Fraction(1, 2))):
+        algebra = HeckeAlgebra(base.group, base.k, cocycle, mode=mode)
+        for lam in _weights(algebra, rng, 1, 1):
+            _assert_matches_straightening(algebra, lam, r)
+
+
+# --- the two weight paths ------------------------------------------------------------------
+
+def _reversed_basis(module):
+    """module in the basis order reversed: P M P for the reversing permutation P."""
+    def flip(m):
+        return [row[::-1] for row in m[::-1]]
+
+    return FiniteDimModule(module.algebra, [flip(x) for x in module.x],
+                           {key: flip(m) for key, m in module.generators.items()},
+                           module.r_value)
+
+
+@pytest.mark.parametrize("name", ["A1", "B2", "G2", "A2flip-tw"])
+def test_diagonal_weights_match_elimination(name, monkeypatch):
+    H = build_preset(name, mode="r1")
+    rng = random.Random(zlib.crc32(f"weights-{name}".encode()))
+    for lam in _weights(H, rng, 2, 2):
+        mod = induce_from_character(H, lam)
+        expected = modules._split_weights(mod)
+        assert weight_decomposition(mod) == expected
+        # not triangular: the elimination path, with the same answer
+        flipped = _reversed_basis(mod)
+        assert any(any(row[:i]) for x in flipped.x_matrices for i, row in enumerate(x))
+        calls = []
+        split = modules.split_space
+        monkeypatch.setattr(modules, "split_space", lambda *a: calls.append(a) or split(*a))
+        assert weight_decomposition(flipped) == expected
+        monkeypatch.undo()
+        assert calls
+
+
+def test_induction_neither_straightens_nor_eliminates(monkeypatch):
+    """An induced module is built with no product in the algebra, and its
+    weights are found with no eigenspace split."""
+    calls = []
+
+    def forbidden(name):
+        return lambda *a, **kw: calls.append(name)
+
+    H = build_preset("G2", mode="r1")
+    lam = (Fraction(1, 2), Fraction(7, 3))
+    monkeypatch.setattr(HeckeAlgebra, "multiply", forbidden("multiply"))
+    monkeypatch.setattr(modules, "split_space", forbidden("split_space"))
+    mod = induce_from_character(H, lam)
+    data = weight_decomposition(mod)
+    monkeypatch.undo()
+    assert calls == []
+    assert sorted(d.weight for d in data for _ in range(d.multiplicity)) == \
+        weight_multiset_oracle(H, lam)
+
+
+# --- exact scalars at the entry points ------------------------------------------------------
+
+_INEXACT = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+                     st.complex_numbers(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=25, deadline=None)
+@given(bad=_INEXACT, position=st.integers(0, 1))
+def test_inexact_scalars_rejected_at_the_entry_points(bad, position):
+    """A float, bool or complex where a caller's scalar enters raises TypeError
+    at the call, before it can turn into a binary rational."""
+    r1, generic = build_preset("B2", mode="r1"), build_preset("B2")
+    weight = [Fraction(1), Fraction(3)]
+    weight[position] = bad
+    k_values = [Fraction(2), Fraction(1)]
+    k_values[position] = bad
+    for call in (lambda: induce_from_character(r1, weight),
+                 lambda: is_regular(r1, weight),
+                 lambda: weight_multiset_oracle(r1, weight),
+                 lambda: ext_self_induced(r1, weight),
+                 lambda: ext_self_induced(r1, (Fraction(1), Fraction(3)), r_value=bad),
+                 lambda: induce_from_character(generic, (1, 3), r_value=bad),
+                 lambda: generic.specialize_r(generic.one(), bad),
+                 lambda: ParameterFunction.constant(generic.group, bad),
+                 lambda: ParameterFunction.from_simple_values(generic.group, k_values)):
+        with pytest.raises(TypeError, match="exact scalar"):
+            call()
+
+
+def test_exact_scalar_accepts_ints_strings_fractions_and_cyclotomics_where_allowed():
+    assert exact_scalar(3) == Fraction(3) and type(exact_scalar(3)) is Fraction
+    assert exact_scalar("3/4") == Fraction(3, 4)
+    z = Cyc.root_of_unity(3)
+    assert exact_scalar(z, cyclotomic=True) is z
+    with pytest.raises(TypeError):
+        exact_scalar(z)
+    # the float 0.1 would have been 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        induce_from_character(build_preset("B2", mode="r1"), (0.1, 1.5))

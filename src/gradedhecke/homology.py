@@ -9,14 +9,15 @@ Three pipelines, all exact:
 
 * `ext_self_induced` - Ext of an induced module against itself at a
   regular weight, computed by restricting the induced module to the
-  polynomial part.  The same Koszul builder gives K (x) M once each entry
-  c*x_i becomes the block c*A_i, A_i the shifted coordinate operator;
-  Koszul self-duality H^t(Hom(K, M)) = H_{m-t}(K (x) M) turns its homology
-  into the cochain cohomology.  The expected answer is binomial(d + 1, n).
+  polynomial part.  The contraction builder of `koszul_resolution` gives
+  K (x) M with the blocks +-A_i, A_i the shifted coordinate operators, as
+  its entries; Koszul self-duality H^t(Hom(K, M)) = H_{m-t}(K (x) M) turns
+  its homology into the cochain cohomology.  The expected answer is
+  binomial(d + 1, n).
 
 * `koszul_dual_dims` - graded dimensions of Ext against the degree-zero
-  part, obtained by pushing the free resolution of that part through Hom
-  and verifying that every induced differential vanishes, which leaves
+  part: its free resolution has rank binomial(d + 1, n) in degree n, and
+  every differential induced on Hom vanishes, which is verified, leaving
   binomial(d + 1, n) * |W x| Gamma| in degree n.
 
 Scalar matrices are `linalg.Matrix` values, integer rows over one
@@ -33,8 +34,7 @@ from itertools import combinations
 from math import comb
 
 from .hecke import HeckeAlgebra
-from .linalg import block_matrix, identity, mat_add, mat_mul, mat_scale, mat_sub, matrix, \
-    rank, zero_matrix
+from .linalg import block_matrix, identity, mat_scale, mat_sub, matrix, rank, zero_matrix
 from .modules import FiniteDimModule, action_matrix, induce_from_character, is_regular
 from .polynomials import Polynomial
 from .scalars import exact_scalar
@@ -118,28 +118,24 @@ class ExtTable:
         return f"ExtTable({self.to_json()})"
 
 
-def _koszul_differentials(nvars_total, variables):
-    """Contraction differentials for the exterior algebra on `variables`.
+def _contraction_grids(entries, zero):
+    """The contraction differentials d_0 .. d_{m-1} on m generators, as grids.
 
-    variables: list of Polynomial entries (the degree-two generators).
-    Returns (subset bases per level, differential matrices d_n: level n+1 -> level n).
+    Level n is the n-subsets of range(m) in order; d_n sends the subset S of
+    level n + 1 to sum_p (-1)^p e_{S[p]} (S without S[p]).  `entries` holds
+    (e_v, -e_v) per generator, Polynomials or blocks; other cells are `zero`.
     """
-    m = len(variables)
+    m = len(entries)
     levels = [list(combinations(range(m), n)) for n in range(m + 1)]
     index = [{s: i for i, s in enumerate(level)} for level in levels]
-    zero = Polynomial.zero(nvars_total)
-    diffs = []
+    grids = []
     for n in range(m):
-        src, dst = levels[n + 1], levels[n]
-        mat = [[zero] * len(src) for _ in range(len(dst))]
-        for j, subset in enumerate(src):
-            for pos, var_i in enumerate(subset):
-                rest = subset[:pos] + subset[pos + 1:]
-                sign = Fraction(-1) ** pos
-                i = index[n][rest]
-                mat[i][j] = mat[i][j] + variables[var_i].scale(sign)
-        diffs.append(mat)
-    return levels, diffs
+        grid = [[zero] * len(levels[n + 1]) for _ in levels[n]]
+        for j, subset in enumerate(levels[n + 1]):
+            for pos, v in enumerate(subset):
+                grid[index[n][subset[:pos] + subset[pos + 1:]]][j] = entries[v][pos % 2]
+        grids.append(grid)
+    return grids
 
 
 def koszul_resolution(nvars: int) -> ChainComplex:
@@ -150,7 +146,7 @@ def koszul_resolution(nvars: int) -> ChainComplex:
     with the variables; d . d = 0 is verified.
     """
     variables = [Polynomial.variable(nvars, i) for i in range(nvars)]
-    levels, diffs = _koszul_differentials(nvars, variables)
+    diffs = _contraction_grids([(x, -x) for x in variables], Polynomial.zero(nvars))
     complex_ = ChainComplex([comb(nvars, n) for n in range(nvars + 1)], diffs, nvars)
     complex_.validate()
     return complex_
@@ -200,14 +196,13 @@ def koszul_dual_dims(algebra: HeckeAlgebra) -> dict[int, int]:
     """
     if algebra.mode == "r1":
         raise ValueError("Koszul duality data lives over the generic algebra")
-    resolution = projective_resolution_H0(algebra)
     # verify: every variable acts by zero on H_0
     for i in list(range(algebra.rs.dim)) + [algebra.nvars - 1]:
         action = degree_zero_action(algebra, i)
         if any(any(x != 0 for x in row) for row in action):
             raise AssertionError("a degree-two generator acts nontrivially on H_0")
-    order = len(algebra.group)
-    return {n: r * order for n, r in enumerate(resolution.ranks)}
+    nvars, order = algebra.nvars, len(algebra.group)
+    return {n: comb(nvars, n) * order for n in range(nvars + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +216,8 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
     Adjunction trades the first induced argument for the polynomial algebra,
     so the table is the cohomology of the Koszul cochain complex with the
     shifted coordinate operators acting on the restricted induced module.
-    Raises for non-regular weights, where that identification breaks.
+    Raises for non-regular weights, where that identification breaks, and
+    for a `module` that cannot be ind(weight) (see `_check_induced`).
     """
     point = tuple(exact_scalar(c) for c in weight)
     r_value = exact_scalar(r_value)
@@ -229,6 +225,8 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
         raise ValueError(f"weight {weight} is not regular for this group")
     if algebra.mode != "r1":
         raise ValueError("Ext tables are computed in the r = 1 specialization")
+    if module is not None:
+        _check_induced(algebra, point, module)
     mod = module or induce_from_character(algebra, point, r_value)
     n = mod.dim
     # commuting operators: X_i - weight_i, and R - r_value (always zero here)
@@ -239,27 +237,29 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
     return ExtTable(dict(enumerate(dims)))
 
 
+def _check_induced(algebra: HeckeAlgebra, point, module: FiniteDimModule):
+    """Raise ValueError unless `module` is over a compatible algebra, of
+    dimension |W x| Gamma|, with e_0 = N_1 (x) 1 of weight `point`."""
+    if not algebra.compatible(module.algebra):
+        raise ValueError("the module belongs to an incompatible algebra")
+    if module.dim != len(algebra.group):
+        raise ValueError(f"the module has dimension {module.dim}, "
+                         f"an induced module {len(algebra.group)}")
+    for j, x in enumerate(module.x_matrices):
+        if x[0][0] != point[j] * x.den or any(row[0] for row in x[1:]):
+            raise ValueError(f"column 0 of x{j + 1} is not {point[j]} e_0: "
+                             "the module is not induced at this weight")
+
+
 def _koszul_cohomology_dims(ops) -> list[int]:
     """dim H^t(Hom(K, M)) for t = 0..m, for m commuting `linalg.Matrix` operators on M.
 
-    K (x) M comes from `_koszul_differentials` with each entry c*x_i
-    replaced by the block c*ops[i]; d . d = 0 is checked, and self-duality
-    of the Koszul complex reads the cohomology off its homology in reverse.
+    K (x) M has the blocks +-ops[i] as contraction entries; its d . d has the
+    entries +-[A_i, A_j], zero as the operators commute (a module's x matrices
+    are checked to).  Self-duality reads the cohomology off its homology in reverse.
     """
     m, n = len(ops), len(ops[0])
-    _, diffs = _koszul_differentials(m, [Polynomial.variable(m, i) for i in range(m)])
-    zero = zero_matrix(n, n)
-
-    def block(entry):
-        out = zero
-        for e, c in entry.terms.items():
-            term = mat_scale(ops[e.index(1)], c)
-            out = term if out is zero else mat_add(out, term)
-        return out
-
-    blocks = [block_matrix([[block(p) for p in row] for row in d]) for d in diffs]
-    for a, b in zip(blocks, blocks[1:]):
-        if any(any(row) for row in mat_mul(a, b)):
-            raise ValueError("d . d != 0 in the complex")
+    blocks = [block_matrix(grid) for grid in
+              _contraction_grids([(a, mat_scale(a, -1)) for a in ops], zero_matrix(n, n))]
     complex_ = ChainComplex([comb(m, t) * n for t in range(m + 1)], blocks, nvars=0)
     return complex_.homology_dims()[::-1]

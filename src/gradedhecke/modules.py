@@ -1,11 +1,12 @@
 """
-Finite dimensional modules over the r = 1 specialization.
+Finite dimensional modules, over the r = 1 specialization or at a value of r.
 
 A module is a dimension, exact matrices for the coordinates x_i and every
-group generator, plus the scalar value of r.  All defining relations are
-verified as matrix identities at construction: commuting coordinates, the
-twisted group law, the Gamma conjugation rule and the braid relation with
-its divided-difference correction.
+group generator, plus the scalar value of r (1 over an r1 algebra).  All
+defining relations are verified as matrix identities at construction, at
+every group size: commuting coordinates, each generator's exchange with the
+coordinates as the algebra's own exchange steps state it, and the twisted
+group law on every generator x element pair.
 
 Induction from a character of the polynomial part produces the module with
 basis {N_w (x) 1}, w in the group's order (sorted by length).  Its matrices
@@ -33,8 +34,7 @@ from math import lcm
 from .groupalgebra import TwistedGroupAlgebra
 from .hecke import HeckeAlgebra
 from .linalg import Matrix, char_poly, identity, mat_add, mat_mul, mat_scale, mat_sub, \
-    matrix, nullspace, restrict, split_space, transpose, zero_matrix
-from .polynomials import Polynomial, _wrap
+    matrix, nullspace, restrict, split_space, transpose
 from .scalars import exact_scalar, split_scalar
 
 __all__ = [
@@ -43,9 +43,6 @@ __all__ = [
     "restrict_to_group_algebra", "classify_rank_one", "zeta_rank_one",
     "RankOneRecord", "generator_keys",
 ]
-
-FULL_VALIDATION_CAP = 16
-
 
 @dataclass(frozen=True)
 class WeightDatum:
@@ -96,7 +93,9 @@ class FiniteDimModule:
         self.x_matrices = [self._square(m, f"x{i + 1}") for i, m in enumerate(x_matrices)]
         self.generator_matrices = {key: self._square(m, names[key])
                                    for key, m in group_matrices.items()}
-        self.r_value = Fraction(r_value)
+        self.r_value = exact_scalar(r_value)
+        if algebra.mode == "r1" and self.r_value != 1:
+            raise ValueError("the r1 specialization fixes r = 1; rescale k instead")
         self._actions: dict[int, object] = {}
         if validate:
             problems = self.validate()
@@ -145,69 +144,40 @@ class FiniteDimModule:
             self._actions[w.index] = m
         return m
 
-    def linear_poly_matrix(self, poly: Polynomial):
-        """Action matrix of a linear polynomial in the coordinates and r."""
-        out = zero_matrix(self.dim, self.dim)
-        for e, c in poly.terms.items():
-            deg = sum(e)
-            if deg == 0:
-                base = identity(self.dim)
-            elif deg != 1:
-                raise ValueError("only linear polynomials here")
-            elif e.index(1) < self.algebra.rs.dim:
-                base = self.x_matrices[e.index(1)]
-            else:
-                base = mat_scale(identity(self.dim), self.r_value)
-            out = mat_add(out, mat_scale(base, c))
-        return out
-
     # -- validation -----------------------------------------------------------------------
     def validate(self) -> list[str]:
+        """The defining relations as matrix identities, one message per failure:
+        the x matrices commute; each generator g (s_i, then Gamma) has
+        X(x_t) N_g = N_g X(moved_t) + corr_t(r) with the steps of
+        `_linear_steps`, which is the braid relation (or Gamma conjugation)
+        at xi = ^g x_t; and N_g N_v = c(g, v) N_{gv} for every element v.
+        """
         problems = []
         alg = self.algebra
-        rs = alg.rs
-        d = rs.dim
-        x = self.x_matrices
-        # commuting coordinates
+        group, x = alg.group, self.x_matrices
+        d = len(x)
         for i in range(d):
             for j in range(i + 1, d):
                 if mat_mul(x[i], x[j]) != mat_mul(x[j], x[i]):
                     problems.append(f"x{i + 1} and x{j + 1} do not commute")
-        # braid relation  N_s X(xi) - X(^s xi) N_s = k r X(Demazure xi)
-        for i in range(rs.rank):
-            s = alg.group.simple(i)
-            ns = self.generator_matrices[("s", i)]
-            for j in range(d):
-                xi = Polynomial.variable(alg.nvars, j)
-                lhs = mat_mul(ns, x[j])
-                moved = alg.group.act_polynomial(s, xi)
-                rhs = mat_mul(self.linear_poly_matrix(moved), ns)
-                delta = alg._demazure(i, xi)  # a constant for linear xi
-                corr = mat_scale(identity(self.dim),
-                                 alg._k_simple[i] * self.r_value * delta.constant_term())
-                if lhs != mat_add(rhs, corr):
-                    problems.append(f"braid relation fails for s{i + 1}, x{j + 1}")
-        # Gamma conjugation: N_g X(xi) = X(^g xi) N_g
-        for gi in range(1, len(alg.group.gamma_elements)):
-            g = alg.group.gamma_element(gi)
-            ng = self.generator_matrices[("g", gi)]
-            for j in range(d):
-                xi = Polynomial.variable(alg.nvars, j)
-                lhs = mat_mul(ng, x[j])
-                rhs = mat_mul(self.linear_poly_matrix(alg.group.act_polynomial(g, xi)), ng)
-                if lhs != rhs:
-                    problems.append(f"gamma conjugation fails for g{gi}, x{j + 1}")
-        # twisted group law, on generator * element pairs
-        gens = [alg.group.simple(i) for i in range(rs.rank)]
-        gens += [alg.group.gamma_element(gi)
-                 for gi in range(1, len(alg.group.gamma_elements))]
-        elements = alg.group.elements if len(alg.group) <= FULL_VALIDATION_CAP \
-            else [alg.group.identity] + gens
-        for g in gens:
-            mg = self.action(g)
-            for v in elements:
-                w = alg.group.multiply(g, v)
-                target = mat_scale(self.action(w), alg.cocycle.value(g, v))
+        keys = generator_keys(alg)
+        one = identity(self.dim)
+        for name, (kind, i) in keys.items():
+            ng = self.generator_matrices[kind, i]
+            family = "braid relation" if kind == "s" else "gamma conjugation"
+            steps = _linear_steps(alg, i if kind == "s" else alg.rs.rank + i, self.r_value)
+            products = [mat_mul(ng, xs) for xs in x]
+            for t, (moved, corr) in enumerate(steps):
+                rhs = mat_scale(one, corr)
+                for s, a in moved:
+                    rhs = mat_add(rhs, mat_scale(products[s], a))
+                if mat_mul(x[t], ng) != rhs:
+                    problems.append(f"{family} fails for {name}, x{t + 1}")
+        for kind, i in keys.values():
+            g = group.simple(i) if kind == "s" else group.gamma_element(i)
+            mg = self.generator_matrices[kind, i]
+            for v in group.elements:
+                target = mat_scale(self.action(group.multiply(g, v)), alg.cocycle.value(g, v))
                 if mat_mul(mg, self.action(v)) != target:
                     problems.append(f"group law fails at {g!r} * {v!r}")
                     break
@@ -253,15 +223,13 @@ def induce_from_character(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
         raise ValueError(f"weight needs {rs.dim} coordinates")
     point = [exact_scalar(c) for c in weight]
     r = exact_scalar(r_value)
-    if algebra.mode == "r1" and r != 1:
-        raise ValueError("the r1 specialization fixes r = 1; rescale k instead")
     group = algebra.group
     gens = [("s", i, group.simple(i)) for i in range(rs.rank)]
     gens += [("g", gi, group.gamma_element(gi)) for gi in range(1, len(group.gamma_elements))]
     # left[g][w] = index of g w
     left = {g.index: [group.multiply(g, w).index for w in group.elements] for *_, g in gens}
     mats = {(kind, i): _monomial_matrix(algebra, g, left[g.index]) for kind, i, g in gens}
-    x_mats = _x_matrices(algebra, point + [r], left)
+    x_mats = _x_matrices(algebra, point, r, left)
     return FiniteDimModule(algebra, x_mats, mats, r, validate=validate)
 
 
@@ -276,8 +244,27 @@ def _monomial_matrix(algebra: HeckeAlgebra, g, left) -> Matrix:
     return Matrix(rows, den)
 
 
-def _x_matrices(algebra: HeckeAlgebra, point, left) -> list[Matrix]:
-    """The x matrices of the induced module at `point` (weight, then r).
+def _linear_steps(algebra: HeckeAlgebra, j: int, r) -> list[tuple[list, Fraction]]:
+    """Per coordinate t, x_t N_j = N_j moved_t + corr_t as ([(i, coefficient of
+    x_i in moved_t)], corr_t at r), read from the algebra's `_steps` memo; j
+    is the simple reflection s_j for j < rank, else Gamma element j - rank.
+
+    moved_t = ^{s_j} x_t (or ^{g^-1} x_t) has int coefficients, the group
+    acting on the coordinates by integer matrices, and corr_t = k_s r D_s x_t
+    is a constant times r (zero for Gamma).
+    """
+    nvars = algebra.nvars
+    out = []
+    for t in range(algebra.rs.dim):
+        e = tuple(int(i == t) for i in range(nvars))
+        d, moved, corr = algebra._steps.get((e, j)) or algebra._step(e, j)
+        out.append(([(f.index(1), c // d) for f, c in moved],
+                    sum((c * r ** f[-1] for f, c in corr), Fraction(0)) / d))
+    return out
+
+
+def _x_matrices(algebra: HeckeAlgebra, weight, r, left) -> list[Matrix]:
+    """The x matrices of the induced module at `weight`, with r acting by `r`.
 
     Columns are built in the group's order, which is sorted by length:
       * for a pure-Gamma element g, x_j N_g = N_g (^{g^-1} x_j), so
@@ -285,31 +272,20 @@ def _x_matrices(algebra: HeckeAlgebra, point, left) -> list[Matrix]:
       * for w = s u with l(u) = l(w) - 1, x_j N_s = N_s (^s x_j) + k_s r D_s x_j
         and N_s N_u = N_w (a valid cocycle is normalized, so c(s, u) = 1), so
         X(x_j) e_w = N_s X(^s x_j) e_u + (k_s r D_s x_j) e_u.
-    ^s x_j, k_s r D_s x_j and ^{g^-1} x_j are the algebra's memoized exchange
-    steps of the linear monomials.  The group acts on the coordinates by
-    integer matrices, so ^s x_j has integer coefficients, and the only
-    fractions are the constants: the weight, the corrections k_s r D_s x_j
-    at r and the pure-Gamma diagonal values.  Every column is a dict of
-    integer numerators over `den`, the lcm of their denominators.
+    ^s x_j, k_s r D_s x_j and ^{g^-1} x_j are the exchange steps of
+    `_linear_steps`.  The only fractions are the constants: the weight, the
+    corrections at r and the pure-Gamma diagonal values.  Every column is a
+    dict of integer numerators over `den`, the lcm of their denominators.
     """
     group, rank, dim = algebra.group, algebra.rs.rank, algebra.rs.dim
-    units = [tuple(int(t == j) for t in range(algebra.nvars)) for j in range(dim)]
-
-    def steps(g):
-        return [algebra._steps.get((e, g)) or algebra._step(e, g) for e in units]
-
-    def value(d, pairs):
-        """The value at point of the polynomial with (exponent, numerator) pairs over d."""
-        return _wrap(algebra.nvars, dict(pairs)).evaluate(point) / d
-
     # per simple reflection and coordinate j: ([(t, coefficient of x_t in ^s x_j)],
-    # k_s r D_s x_j at point)
-    simple = [[([(e.index(1), c // d) for e, c in moved], value(d, corr))
-               for d, moved, corr in steps(i)] for i in range(rank)]
+    # k_s r D_s x_j at r)
+    simple = [_linear_steps(algebra, i, r) for i in range(rank)]
     # the diagonal value of each pure-Gamma element, per coordinate
-    diagonal = {0: point[:dim]}
+    diagonal = {0: weight}
     for gi in range(1, len(group.gamma_elements)):
-        diagonal[gi] = [value(d, moved) for d, moved, _ in steps(rank + gi)]
+        diagonal[gi] = [sum((a * weight[t] for t, a in moved), Fraction(0))
+                        for moved, _ in _linear_steps(algebra, rank + gi, r)]
     den = lcm(*(v.denominator for vs in diagonal.values() for v in vs),
               *(corr.denominator for per_j in simple for _, corr in per_j))
 

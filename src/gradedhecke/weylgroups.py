@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .rootdata import RootSystem
 from .scalars import exact_scalar, scalar_str
@@ -206,12 +207,14 @@ class ExtendedWeylGroup:
 
     def act_point(self, u: GroupElement, point):
         """Contragredient action on points of `a` in dual coordinates."""
-        inv = self.inverse(u)
-        m = inv.key
-        # alpha_i(u x) = (u^-1 alpha_i)(x); central coordinates are fixed
-        out = [sum(Fraction(m[j][i]) * point[j] for j in range(self.rs.rank))
-               for i in range(self.rs.rank)]
-        return tuple(out) + tuple(point[self.rs.rank:])
+        m = self.inverse(u).key
+        rank = self.rs.rank
+        # alpha_i(u x) = (u^-1 alpha_i)(x), on the numerators of the point over
+        # one denominator; central coordinates are fixed
+        den = lcm(*(c.denominator for c in point[:rank]))
+        nums = [c.numerator * (den // c.denominator) for c in point[:rank]]
+        return tuple(Fraction(sum(m[j][i] * nums[j] for j in range(rank)), den)
+                     for i in range(rank)) + tuple(point[rank:])
 
     def act_polynomial(self, u: GroupElement, poly):
         """^u p: substitute x_j -> sum_i m[i][j] x_i, r fixed.

@@ -171,6 +171,30 @@ def test_classify_module_file(tmp_path, capsys):
                    "--module-file", str(path)) == 2
 
 
+def test_classify_module_file_in_r1_mode_must_have_r_one(tmp_path, capsys):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({"x": [[["-2"]]], "N": {"s1": [["-1"]]}, "r": "2"}))
+    assert run_cli("classify", "--preset", "A1", "--module-file", str(path)) == 2
+    assert "rescale k" in capsys.readouterr().err
+
+
+def test_classify_module_file_checks_the_group_law_on_a3(tmp_path, capsys):
+    """A3 has 24 elements; x = (1, -1, 1), N = (1, -1, 1) breaks the braid
+    relation s1 s2 s1 = s2 s1 s2 of the group, and the trivial module holds."""
+    algebra = tmp_path / "a3.json"
+    algebra.write_text(json.dumps({"types": [["A", 3]], "k": ["1"]}))
+    module = tmp_path / "module.json"
+    signs = [1, -1, 1]
+    module.write_text(json.dumps({"x": [[[c]] for c in signs],
+                                  "N": {f"s{i + 1}": [[c]] for i, c in enumerate(signs)}}))
+    argv = ["classify", "--algebra-file", str(algebra), "--module-file", str(module)]
+    assert run_cli(*argv) == 2
+    assert "group law fails" in capsys.readouterr().err
+    module.write_text(json.dumps({"x": [[[1]]] * 3, "N": {f"s{i}": [[1]] for i in (1, 2, 3)}}))
+    assert run_cli(*argv) == 0
+    assert "relations hold" in capsys.readouterr().out
+
+
 def test_shipped_fixtures(capsys):
     import pathlib
 

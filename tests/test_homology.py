@@ -5,9 +5,12 @@ from math import comb
 
 import pytest
 
-from gradedhecke.homology import _koszul_cohomology_dims, _poly_mat_mul, ext_self_induced, \
-    generic_point_exactness, koszul_dual_dims, koszul_resolution, projective_resolution_H0
-from gradedhecke.linalg import identity, mat_add, mat_mul, mat_scale, matrix, rank, zero_matrix
+from gradedhecke.homology import _contraction_grids, _koszul_cohomology_dims, _poly_mat_mul, \
+    ext_self_induced, generic_point_exactness, koszul_dual_dims, koszul_resolution, \
+    projective_resolution_H0
+from gradedhecke.linalg import block_matrix, identity, mat_add, mat_mul, mat_scale, mat_sub, \
+    matrix, rank, zero_matrix
+from gradedhecke.modules import FiniteDimModule, induce_from_character
 from gradedhecke.polynomials import Polynomial
 from gradedhecke.presets import build_preset
 from gradedhecke.rootdata import RootSystem
@@ -124,6 +127,53 @@ def test_koszul_builder_matches_cochain_oracle_on_random_commuting_ops():
                             + [[0] * n for _ in range(n - 1)])
             ops.append(op)
         assert _koszul_cohomology_dims(ops) == cochain_dims_oracle(ops)
+
+
+def _block_differentials(ops):
+    """The block differentials of K (x) M, built as `_koszul_cohomology_dims` builds them."""
+    n = len(ops[0])
+    grids = _contraction_grids([(a, mat_scale(a, -1)) for a in ops], zero_matrix(n, n))
+    return [block_matrix(grid) for grid in grids]
+
+
+@pytest.mark.parametrize("name, lam", [("A1", (3,)), ("B2", (1, 3)), ("G2", (1, 4)),
+                                       ("A2flip-tw", (1, 4))])
+def test_block_differentials_square_to_zero_on_ext_operators(name, lam):
+    """The d . d product the Ext path does not form, as an oracle: on the shifted
+    x operators of an induced module it vanishes, and the dimensions match the
+    cochain oracle."""
+    H = build_preset(name, mode="r1")
+    mod = induce_from_character(H, lam)
+    n = mod.dim
+    ops = [mat_sub(x, mat_scale(identity(n), c)) for x, c in zip(mod.x_matrices, lam)]
+    ops.append(zero_matrix(n, n))
+    blocks = _block_differentials(ops)
+    for a, b in zip(blocks, blocks[1:]):
+        assert not any(any(row) for row in mat_mul(a, b))
+    assert _koszul_cohomology_dims(ops) == cochain_dims_oracle(ops)
+
+
+def test_block_d_squared_is_the_commutator():
+    """d_0 d_1 on two operators is A_2 A_1 - A_1 A_2: zero exactly when they commute."""
+    a = matrix([[0, 1], [0, 0]])
+    b = matrix([[0, 0], [1, 0]])
+    d0, d1 = _block_differentials([a, b])
+    assert mat_mul(d0, d1) == mat_sub(mat_mul(b, a), mat_mul(a, b))
+    assert mat_mul(d0, d1) != zero_matrix(2, 2)
+
+
+def test_ext_rejects_a_module_that_is_not_the_induced_one():
+    B2, G2 = build_preset("B2", mode="r1"), build_preset("G2", mode="r1")
+    mod = induce_from_character(B2, (1, 3))
+    assert ext_self_induced(B2, (1, 3), module=mod).as_tuple() == (1, 3, 3, 1)
+    with pytest.raises(ValueError, match="not induced at this weight"):
+        ext_self_induced(B2, (2, 5), module=mod)
+    with pytest.raises(ValueError, match="incompatible algebra"):
+        ext_self_induced(B2, (1, 3), module=induce_from_character(G2, (1, 3)))
+    small = FiniteDimModule(B2, [[[1]], [[3]]], {("s", 0): [[1]], ("s", 1): [[1]]},
+                            validate=False)
+    with pytest.raises(ValueError, match="dimension 1"):
+        ext_self_induced(B2, (1, 3), module=small)
 
 
 def test_ext_requires_regular_weight():

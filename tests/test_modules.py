@@ -1,6 +1,9 @@
+import importlib.util
 import random
+import sys
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +12,13 @@ from gradedhecke import modules
 from gradedhecke.groupalgebra import TwistedGroupAlgebra
 from gradedhecke.hecke import HeckeAlgebra
 from gradedhecke.homology import ext_self_induced
-from gradedhecke.linalg import matrix
+from gradedhecke.linalg import identity, mat_add, mat_mul, mat_scale, matrix, zero_matrix
 from gradedhecke.modules import FiniteDimModule, action_matrix, classify_rank_one, \
     induce_from_character, is_essentially_discrete_series, is_regular, is_tempered, \
     restrict_to_group_algebra, weight_decomposition, weight_multiset_oracle, \
     zeta_rank_one
-from gradedhecke.presets import PRESETS, build_preset
+from gradedhecke.polynomials import Polynomial
+from gradedhecke.presets import PRESETS, algebra_from_config, build_preset
 from gradedhecke.scalars import Cyc, exact_scalar
 from gradedhecke.weylgroups import Cocycle, ParameterFunction
 
@@ -111,6 +115,104 @@ def test_validate_catches_gamma_conjugation_a2flip_tw():
     assert mod.validate() == []
     problems = _perturbed(mod, ("g", 1), 0, 1).validate()
     assert any("gamma conjugation fails" in p for p in problems), problems
+
+
+def _exchange_oracle(module):
+    """The braid and Gamma conjugation checks by a second route, on the matrices
+    of linear polynomials: N_s X(x_j) - X(^s x_j) N_s = k_s r D_s(x_j) I and
+    N_g X(x_j) = X(^g x_j) N_g, with ^s x_j from `act_polynomial` and D_s from
+    `_demazure`."""
+    alg, n = module.algebra, module.dim
+    x = module.x_matrices
+
+    def linear(poly):
+        out = zero_matrix(n, n)
+        for e, c in poly.terms.items():
+            if sum(e) == 0:
+                base = identity(n)
+            elif e.index(1) < alg.rs.dim:
+                base = x[e.index(1)]
+            else:
+                base = mat_scale(identity(n), module.r_value)
+            out = mat_add(out, mat_scale(base, c))
+        return out
+
+    problems = []
+    for i in range(alg.rs.rank):
+        s = alg.group.simple(i)
+        ns = module.generator_matrices[("s", i)]
+        for j in range(alg.rs.dim):
+            xi = Polynomial.variable(alg.nvars, j)
+            rhs = mat_mul(linear(alg.group.act_polynomial(s, xi)), ns)
+            corr = alg._k_simple[i] * module.r_value * alg._demazure(i, xi).constant_term()
+            if mat_mul(ns, x[j]) != mat_add(rhs, mat_scale(identity(n), corr)):
+                problems.append(f"braid relation fails for s{i + 1}, x{j + 1}")
+    for gi in range(1, len(alg.group.gamma_elements)):
+        g = alg.group.gamma_element(gi)
+        ng = module.generator_matrices[("g", gi)]
+        for j in range(alg.rs.dim):
+            xi = Polynomial.variable(alg.nvars, j)
+            if mat_mul(ng, x[j]) != mat_mul(linear(alg.group.act_polynomial(g, xi)), ng):
+                problems.append(f"gamma conjugation fails for g{gi}, x{j + 1}")
+    return problems
+
+
+def _exchange_families(problems):
+    """The failing (family, generator) pairs: 'braid relation fails for s1', ..."""
+    return {p.split(",")[0] for p in problems if "relation fails" in p or "conjugation" in p}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_exchange_check_matches_the_braid_and_gamma_oracle(name):
+    """validate's exchange family x_t N_g = N_g X(moved_t) + corr_t reports the
+    same failing generators as the braid / Gamma form, on single-entry
+    perturbations in r1, generic and k0 modes.  The two forms agree because
+    xi -> ^s xi turns one into the other, D_s(^s xi) = -D_s(xi), and both are
+    linear in xi."""
+    rng = random.Random(zlib.crc32(f"exchange-{name}".encode()))
+    generic = build_preset(name)
+    cases = [(build_preset(name, mode="r1"), Fraction(1)), (generic.crossed_product(), Fraction(1))]
+    cases += [(generic, r) for r in (Fraction(0), Fraction(2), Fraction(-1, 2))]
+    caught = 0
+    for algebra, r in cases:
+        lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(algebra.rs.dim))
+        mod = induce_from_character(algebra, lam, r, validate=False)
+        assert mod.validate() == [] and _exchange_oracle(mod) == []
+        for key in list(range(algebra.rs.dim)) + sorted(mod.generator_matrices):
+            for _ in range(3):
+                bad = _perturbed(mod, key, rng.randrange(mod.dim), rng.randrange(mod.dim))
+                families = _exchange_families(bad.validate())
+                assert families == _exchange_families(_exchange_oracle(bad)), \
+                    (algebra.mode, r, key)
+                caught += bool(families)
+    assert caught
+
+
+def test_r1_module_must_have_r_one(A1):
+    """An r1 algebra has r = 1; the same matrices at r = 2 are a module of the generic algebra."""
+    with pytest.raises(ValueError, match="rescale k"):
+        FiniteDimModule(A1, [[[-2]]], {("s", 0): [[-1]]}, r_value=2)
+    mod = FiniteDimModule(build_preset("A1"), [[[-2]]], {("s", 0): [[-1]]}, r_value=2)
+    assert mod.r_value == 2
+
+
+A3 = {"types": [["A", 3]], "k": ["1"]}
+
+
+def test_group_law_is_checked_above_sixteen_elements():
+    """On A3 (24 elements) x = (1, -1, 1), N = (1, -1, 1) satisfies every exchange
+    relation but breaks s1 s2 s1 = s2 s1 s2."""
+    H = algebra_from_config(A3)
+    assert len(H.group) == 24
+    signs = [1, -1, 1]
+    gens = {("s", i): [[c]] for i, c in enumerate(signs)}
+    bad = FiniteDimModule(H, [[[c]] for c in signs], gens, validate=False)
+    problems = bad.validate()
+    assert problems and all("group law fails" in p for p in problems)
+    with pytest.raises(ValueError, match="group law fails"):
+        FiniteDimModule(H, [[[c]] for c in signs], gens)
+    ones = FiniteDimModule(H, [[[1]]] * 3, {("s", i): [[1]] for i in range(3)})
+    assert weight_decomposition(ones)[0].weight == (1, 1, 1)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -506,3 +608,23 @@ def test_exact_scalar_accepts_ints_strings_fractions_and_cyclotomics_where_allow
     # the float 0.1 would have been 3602879701896397/36028797018963968
     with pytest.raises(TypeError):
         induce_from_character(build_preset("B2", mode="r1"), (0.1, 1.5))
+
+
+# --- the benchmark's modules ops ----------------------------------------------------------
+
+def test_first_modules_bench_ops_match_their_reference_digests(monkeypatch):
+    """The first 30 seed-0 ops of the `modules` workload in bench/workloads.py hold
+    their checks and give the digests in bench/reference_digests.json; the
+    workload is loaded read-only, with no bytecode written."""
+    import gradedhecke
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.Modules(gradedhecke, 0, workloads.load_references())
+    for i in range(30):
+        inp = workload.make_input(i)
+        holds, digest, _ = workload.check(inp, workload.run(inp))
+        assert holds and digest == workload.reference(i), i

@@ -531,3 +531,19 @@ def test_components_constant_on_orbit():
             continue
         moved, _ = centralizer_components(g, g.act_point(w, sigma), [0])
         assert moved == base
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_act_point_is_contragredient_to_act_root(name):
+    """beta(u . p) = (u^-1 beta)(p) for every root beta, with Fraction coordinates
+    out for int and Fraction coordinates in."""
+    group = build_preset(name).group
+    rank = group.rs.rank
+    for point in ((Fraction(1, 2), Fraction(-7, 3))[:group.rs.dim], (3, -2)[:group.rs.dim]):
+        for u in group.elements:
+            moved = group.act_point(u, point)
+            assert all(type(c) is Fraction for c in moved[:rank])
+            for beta in group.rs.roots:
+                image = group.act_root(group.inverse(u), beta)
+                assert sum(b * c for b, c in zip(beta, moved)) == \
+                    sum(b * c for b, c in zip(image, point))

@@ -69,6 +69,9 @@ class TwistedGroupAlgebra:
         self.center = self._center_basis()
         self.blocks = self._split_blocks(self._center_operators())
         self._label_blocks()
+        # row b: block b's idempotent over g d, so its product with traces is a multiplicity
+        self._projections = matrix([[c / (b.field_degree * b.dim) for c in b.idempotent]
+                                    for b in self.blocks])
 
     # -- structure ------------------------------------------------------------------
     def _multiplication_table(self):
@@ -174,22 +177,25 @@ class TwistedGroupAlgebra:
         total = sum(b.field_degree * b.dim ** 2 for b in self.blocks)
         assert total == self.n, f"block dimensions sum to {total}, expected {self.n}"
 
-    def multiplicities(self, matrices: dict[int, list]) -> list[Fraction]:
+    def multiplicities(self, matrices: dict[int, list]) -> list[int]:
         """Multiplicity of each block in a module given by N_w matrices.
 
         `matrices` maps every group element index to its action matrix, a
         `linalg.Matrix` or rows of ints and Fractions.  For
         field degree g the reported number is the common multiplicity of the
-        g conjugate irreducibles.
+        g conjugate irreducibles: tr(e M) / (g d), with tr(e M) = sum_w e_w
+        tr(M_w).  That is one integer product, of the block idempotents
+        divided by g d (a Matrix built once per table) by the column of
+        traces.  A non-integral or negative multiplicity raises ValueError.
         """
-        # tr(sum c_w M_w) = sum c_w tr(M_w): one trace per group element
-        traces = {wi: trace(matrix(m)) for wi, m in matrices.items()}
+        traces = matrix([[trace(matrix(matrices[wi]))] for wi in range(self.n)])
+        products = mat_mul(self._projections, traces)
         out = []
-        for b in self.blocks:
-            tr = sum((c * traces[wi] for wi, c in enumerate(b.idempotent) if c), Fraction(0))
-            mult = tr / (b.field_degree * b.dim)
-            if mult.denominator != 1 or mult < 0:
-                raise ValueError(f"non-integral multiplicity {mult} for block {b.index}")
+        for b, (num,) in zip(self.blocks, products):
+            mult, rest = divmod(num, products.den)
+            if rest or mult < 0:
+                raise ValueError(f"non-integral multiplicity {Fraction(num, products.den)} "
+                                 f"for block {b.index}")
             out.append(mult)
         return out
 

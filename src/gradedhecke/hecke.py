@@ -340,8 +340,12 @@ class HeckeAlgebra:
 
         For z = 0 (allowed only when k = 0) this is the canonical surjection
         onto the span of the N_w and r, killing every positive x-degree.
+        `z` must be exact (see `scalars.exact_scalar`); a string is read as
+        its Fraction, and an int, Fraction or Cyc is used as given.
         """
         self._assert_mine(a)
+        checked = exact_scalar(z, cyclotomic=True)
+        z = checked if isinstance(z, str) else z
         if z == 0:
             if not self.k.is_zero():
                 raise ValueError("z = 0 requires the zero parameter function")

@@ -12,8 +12,10 @@ Three pipelines, all exact:
   polynomial part.  The contraction builder of `koszul_resolution` gives
   K (x) M with the blocks +-A_i, A_i the shifted coordinate operators, as
   its entries; Koszul self-duality H^t(Hom(K, M)) = H_{m-t}(K (x) M) turns
-  its homology into the cochain cohomology.  The expected answer is
-  binomial(d + 1, n).
+  its homology into the cochain cohomology.  The operator of r, R - r, is
+  zero on a module at r, and the Koszul complex of (A, 0) is the cone of a
+  zero map, so its cohomology is that of K(A) times (1 + t): the zero block
+  is never built.  The expected answer is binomial(d + 1, n).
 
 * `koszul_dual_dims` - graded dimensions of Ext against the degree-zero
   part: its free resolution has rank binomial(d + 1, n) in degree n, and
@@ -215,9 +217,12 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
 
     Adjunction trades the first induced argument for the polynomial algebra,
     so the table is the cohomology of the Koszul cochain complex with the
-    shifted coordinate operators acting on the restricted induced module.
-    Raises for non-regular weights, where that identification breaks, and
-    for a `module` that cannot be ind(weight) (see `_check_induced`).
+    shifted coordinate operators and R - r acting on the restricted induced
+    module.  R - r is zero there, and the complex of (A, 0) is K(A) (x)
+    (M <- M with the zero map), so H^t = H^t(K(A)) + H^{t-1}(K(A)): the
+    complex is built on the d coordinate operators alone.  Raises for
+    non-regular weights, where that identification breaks, and for a
+    `module` that cannot be ind(weight) (see `_check_induced`).
     """
     point = tuple(exact_scalar(c) for c in weight)
     r_value = exact_scalar(r_value)
@@ -229,12 +234,11 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
         _check_induced(algebra, point, module)
     mod = module or induce_from_character(algebra, point, r_value)
     n = mod.dim
-    # commuting operators: X_i - weight_i, and R - r_value (always zero here)
+    # commuting operators X_i - weight_i; R - r_value is zero, a factor (1 + t)
     ops = [mat_sub(mod.x_matrices[i], mat_scale(identity(n), point[i]))
            for i in range(algebra.rs.dim)]
-    ops.append(zero_matrix(n, n))
     dims = _koszul_cohomology_dims(ops)
-    return ExtTable(dict(enumerate(dims)))
+    return ExtTable(dict(enumerate(a + b for a, b in zip(dims + [0], [0] + dims))))
 
 
 def _check_induced(algebra: HeckeAlgebra, point, module: FiniteDimModule):

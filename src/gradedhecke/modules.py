@@ -6,7 +6,9 @@ group generator, plus the scalar value of r (1 over an r1 algebra).  All
 defining relations are verified as matrix identities at construction, at
 every group size: commuting coordinates, each generator's exchange with the
 coordinates as the algebra's own exchange steps state it, and the twisted
-group law on every generator x element pair.
+group law through a presentation of W x| Gamma (the Coxeter relations of
+the N_{s_i}, Gamma's conjugation of the simple reflections, and Gamma's
+own products with their cocycle values).
 
 Induction from a character of the polynomial part produces the module with
 basis {N_w (x) 1}, w in the group's order (sorted by length).  Its matrices
@@ -150,22 +152,35 @@ class FiniteDimModule:
         the x matrices commute; each generator g (s_i, then Gamma) has
         X(x_t) N_g = N_g X(moved_t) + corr_t(r) with the steps of
         `_linear_steps`, which is the braid relation (or Gamma conjugation)
-        at xi = ^g x_t; and N_g N_v = c(g, v) N_{gv} for every element v.
+        at xi = ^g x_t; and the group law, on a presentation of W x| Gamma:
+        N_{s_i}^2 = 1, the braid relations (the two alternating products of
+        length m_ij = (2, 3, 4, 6)[a_ij a_ji]), N_g N_{s_i} = N_{s_j} N_g for
+        s_j = g s_i g^-1, and N_g N_h = c(g, h) N_{gh} on Gamma.
+
+        The presentation fails on exactly the modules where N_g action(v) =
+        c(g, v) action(gv) fails for some generator g and element v.  The
+        algebra validates its cocycle, so it is normalized and its value
+        depends on the Gamma parts only: c(s_i, v) = c(g, s_i) = c(s_j, g) =
+        1.  The Coxeter relations make the N_{s_i} a representation of W, in
+        which, by Matsumoto's theorem, the product along any reduced word is
+        the same; with the Gamma relations, action(v) (that product along v's
+        word, then N_gamma) is a c-projective representation.  Conversely
+        each relation is the group law at one (generator, element) pair, or
+        two such laws composed.
         """
         problems = []
-        alg = self.algebra
-        group, x = alg.group, self.x_matrices
+        alg, n = self.algebra, self.generator_matrices
+        group, rank, x = alg.group, alg.rs.rank, self.x_matrices
         d = len(x)
         for i in range(d):
             for j in range(i + 1, d):
                 if mat_mul(x[i], x[j]) != mat_mul(x[j], x[i]):
                     problems.append(f"x{i + 1} and x{j + 1} do not commute")
-        keys = generator_keys(alg)
         one = identity(self.dim)
-        for name, (kind, i) in keys.items():
-            ng = self.generator_matrices[kind, i]
+        for name, (kind, i) in generator_keys(alg).items():
+            ng = n[kind, i]
             family = "braid relation" if kind == "s" else "gamma conjugation"
-            steps = _linear_steps(alg, i if kind == "s" else alg.rs.rank + i, self.r_value)
+            steps = _linear_steps(alg, i if kind == "s" else rank + i, self.r_value)
             products = [mat_mul(ng, xs) for xs in x]
             for t, (moved, corr) in enumerate(steps):
                 rhs = mat_scale(one, corr)
@@ -173,14 +188,33 @@ class FiniteDimModule:
                     rhs = mat_add(rhs, mat_scale(products[s], a))
                 if mat_mul(x[t], ng) != rhs:
                     problems.append(f"{family} fails for {name}, x{t + 1}")
-        for kind, i in keys.values():
-            g = group.simple(i) if kind == "s" else group.gamma_element(i)
-            mg = self.generator_matrices[kind, i]
-            for v in group.elements:
-                target = mat_scale(self.action(group.multiply(g, v)), alg.cocycle.value(g, v))
-                if mat_mul(mg, self.action(v)) != target:
-                    problems.append(f"group law fails at {g!r} * {v!r}")
-                    break
+        for i in range(rank):
+            if mat_mul(n["s", i], n["s", i]) != one:
+                problems.append(f"group law fails at s{i + 1} s{i + 1} = 1")
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                m = (2, 3, 4, 6)[alg.rs.cartan[i][j] * alg.rs.cartan[j][i]]
+                left, right = n["s", i], n["s", j]
+                for t in range(1, m):
+                    left = mat_mul(left, n["s", (i, j)[t % 2]])
+                    right = mat_mul(right, n["s", (j, i)[t % 2]])
+                if left != right:
+                    words = [" ".join(f"s{(a, b)[t % 2] + 1}" for t in range(m))
+                             for a, b in ((i, j), (j, i))]
+                    problems.append(f"group law fails at {words[0]} = {words[1]}")
+        for a in range(1, len(group.gamma_elements)):
+            g = group.gamma_element(a)
+            for i in range(rank):
+                (j,) = group.multiply(group.multiply(g, group.simple(i)), group.inverse(g)).word
+                if mat_mul(n["g", a], n["s", i]) != mat_mul(n["s", j], n["g", a]):
+                    problems.append(f"group law fails at g{a} s{i + 1} = s{j + 1} g{a}")
+            for b in range(1, len(group.gamma_elements)):
+                h = group.gamma_element(b)
+                ab = group.multiply(g, h).gamma
+                target = mat_scale(n["g", ab] if ab else one, alg.cocycle.value(g, h))
+                if mat_mul(n["g", a], n["g", b]) != target:
+                    problems.append(f"group law fails at g{a} g{b} = c(g{a}, g{b}) "
+                                    + (f"g{ab}" if ab else "1"))
         return problems
 
     def twist_by_character(self, eps) -> "FiniteDimModule":
@@ -422,11 +456,13 @@ def _discrete_series(rs, data: list[WeightDatum]) -> bool:
 
 def restrict_to_group_algebra(module: FiniteDimModule,
                               table: TwistedGroupAlgebra | None = None):
-    """Multiplicity of each irreducible block in the restricted module."""
+    """Multiplicity of each irreducible block in the restricted module.
+
+    The N_w matrices are built here, by `action`, on first use.
+    """
     table = table or TwistedGroupAlgebra(module.algebra.group, module.algebra.cocycle)
-    mults = table.multiplicities({w.index: module.action(w)
-                                  for w in module.algebra.group.elements})
-    return table, [int(m) for m in mults]
+    return table, table.multiplicities({w.index: module.action(w)
+                                        for w in module.algebra.group.elements})
 
 
 # ---------------------------------------------------------------------------

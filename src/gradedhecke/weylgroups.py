@@ -318,7 +318,10 @@ class EpsilonCharacter:
 class Cocycle:
     """A 2-cocycle on Gamma, given by its table of scalar values.
 
-    The table is indexed by Gamma element positions.  A non-normalized
+    The table is indexed by Gamma element positions.  Each value must be
+    exact (see `scalars.exact_scalar`, Cycs allowed): a float, bool or
+    complex value raises TypeError here.  A string is read as its Fraction,
+    and an int, Fraction or Cyc is stored as given.  A non-normalized
     cocycle is replaced at construction by the cohomologous normalized one
     obtained by dividing out the constant value at the identity.  `validate`
     checks only normalization and the cocycle identity: it does not check
@@ -335,11 +338,13 @@ class Cocycle:
         else:
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError(f"cocycle table must be {n} x {n}")
-            self.table = [list(row) for row in table]
+            checked = [[exact_scalar(v, cyclotomic=True) for v in row] for row in table]
+            self.table = [[c if isinstance(v, str) else v for v, c in zip(row, crow)]
+                          for row, crow in zip(table, checked)]
             if normalize:
-                c = self.table[0][0]
+                c = checked[0][0]
                 if c != 1:
-                    self.table = [[v / c for v in row] for row in self.table]
+                    self.table = [[v / c for v in row] for row in checked]
         self._gamma_mult = self._gamma_table()
 
     def _gamma_table(self):

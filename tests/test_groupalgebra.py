@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from gradedhecke.groupalgebra import TwistedGroupAlgebra
+from gradedhecke.linalg import matrix, trace
+from gradedhecke.modules import FiniteDimModule, restrict_to_group_algebra
 from gradedhecke.presets import PRESETS, build_preset
 from gradedhecke.rootdata import RootSystem
 from gradedhecke.weylgroups import Cocycle, ExtendedWeylGroup
@@ -180,3 +182,58 @@ def test_cyclotomic_cocycle_rejected_before_linear_algebra(entry):
     one = Cyc(4, [Fraction(1)])
     with pytest.raises(ValueError, match="rational cocycle values"):
         TwistedGroupAlgebra(H.group, Cocycle(H.group, [[one, one], [one, value]]))
+
+
+# --- multiplicities: one integer product against the Fraction sum ------------------------
+
+def _fraction_multiplicities(table, matrices):
+    """tr(e M) / (g d) per block, summed over the idempotent's coefficients as Fractions."""
+    traces = {wi: trace(matrix(m)) for wi, m in matrices.items()}
+    return [sum((c * traces[wi] for wi, c in enumerate(b.idempotent) if c), Fraction(0))
+            / (b.field_degree * b.dim) for b in table.blocks]
+
+
+def _regular_matrices(table):
+    """N_w on the algebra itself: N_w N_v = c(w, v) N_{wv}."""
+    out = {}
+    for w in table.group.elements:
+        m = [[Fraction(0)] * table.n for _ in range(table.n)]
+        for v in table.group.elements:
+            idx, c = table._mult[w.index][v.index]
+            m[idx][v.index] = c
+        out[w.index] = m
+    return out
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_multiplicities_match_the_fraction_sum_on_the_regular_module(preset):
+    table = table_for(preset)
+    mats = _regular_matrices(table)
+    mults = table.multiplicities(mats)
+    assert mults == _fraction_multiplicities(table, mats)
+    assert mults == [b.dim for b in table.blocks]
+    assert all(type(m) is int for m in mults)
+
+
+def test_multiplicities_match_the_fraction_sum_on_the_a1_characters():
+    H = build_preset("A1", mode="r1")
+    table = TwistedGroupAlgebra(H.group, H.cocycle)
+    for sign, label in ((-1, "sgn"), (1, "triv")):
+        mod = FiniteDimModule(H, [[[sign]]], {("s", 0): [[sign]]})
+        mats = {w.index: mod.action(w) for w in H.group.elements}
+        assert table.multiplicities(mats) == _fraction_multiplicities(table, mats)
+        assert restrict_to_group_algebra(mod, table)[1] == \
+            [int(b.label() == label) for b in table.blocks]
+
+
+@pytest.mark.parametrize("ns, message", [(0, "non-integral multiplicity 1/2"),
+                                         (3, "non-integral multiplicity -1")])
+def test_multiplicities_reject_traces_of_an_unvalidated_module(ns, message):
+    """N_s = 0 gives tr = (1, 0), so (1 +- s)/2 has multiplicity 1/2; N_s = 3 gives
+    sgn the multiplicity -1."""
+    H = build_preset("A1", mode="r1")
+    table = TwistedGroupAlgebra(H.group, H.cocycle)
+    bad = FiniteDimModule(H, [[[1]]], {("s", 0): [[ns]]}, validate=False)
+    assert bad.validate()
+    with pytest.raises(ValueError, match=message):
+        restrict_to_group_algebra(bad, table)

@@ -125,6 +125,25 @@ def test_scale_zero_is_surjection_onto_group_part():
         build_preset("A1").scale_iso(Fraction(0), build_preset("A1").x(0))
 
 
+@pytest.mark.parametrize("z", [0.5, 2.0, True, False, 1j])
+def test_scale_iso_rejects_an_inexact_z_at_the_call(A1, z):
+    """0.5 used to fail inside `_rescale` ("inexact coefficient 0.5") and True to
+    act as z = 1."""
+    with pytest.raises(TypeError, match="exact scalar"):
+        A1.scale_iso(z, A1.x(0) + A1.N(0))
+
+
+def test_scale_iso_takes_an_exact_z_as_given(A1):
+    a = A1.x(0) * A1.N(0) + A1.r()
+    images = [A1.scale_iso(z, a) for z in (2, Fraction(2), "2")]
+    assert len({image.to_string() for image in images}) == 1
+    assert images[0] == images[1] == images[2]
+    cyc = algebra_from_config({"types": [["A", 1]], "k": ["z"], "cyclotomic_order": 3})
+    image = cyc.scale_iso(Cyc.root_of_unity(3), cyc.x(0) * cyc.N(0) + cyc.r())
+    assert image.to_string() == "N[e]*((1+2*z)*r) + N[s]*(-z*x)"
+    assert image.algebra.k.simple_values() == [Cyc(3, [Fraction(1)])]
+
+
 # --- IM and sgn ------------------------------------------------------------------------
 
 def test_im_fixture(A1):

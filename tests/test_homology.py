@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -10,9 +11,9 @@ from gradedhecke.homology import _contraction_grids, _koszul_cohomology_dims, _p
     projective_resolution_H0
 from gradedhecke.linalg import block_matrix, identity, mat_add, mat_mul, mat_scale, mat_sub, \
     matrix, rank, zero_matrix
-from gradedhecke.modules import FiniteDimModule, induce_from_character
+from gradedhecke.modules import FiniteDimModule, induce_from_character, is_regular
 from gradedhecke.polynomials import Polynomial
-from gradedhecke.presets import build_preset
+from gradedhecke.presets import PRESETS, build_preset
 from gradedhecke.rootdata import RootSystem
 from gradedhecke.weylgroups import ExtendedWeylGroup, ParameterFunction
 from gradedhecke.hecke import HeckeAlgebra
@@ -151,6 +152,28 @@ def test_block_differentials_square_to_zero_on_ext_operators(name, lam):
     for a, b in zip(blocks, blocks[1:]):
         assert not any(any(row) for row in mat_mul(a, b))
     assert _koszul_cohomology_dims(ops) == cochain_dims_oracle(ops)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_ext_without_the_zero_r_block_matches_the_full_complex(name):
+    """ext_self_induced builds the complex on the d shifted x operators and
+    multiplies by (1 + t); the oracle keeps R - r = 0 as an operator block."""
+    H = build_preset(name, mode="r1")
+    rng = random.Random(zlib.crc32(f"ext-zero-block-{name}".encode()))
+    found = 0
+    while found < 2:
+        lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(H.rs.dim))
+        if not is_regular(H, lam):
+            continue
+        found += 1
+        mod = induce_from_character(H, lam)
+        n = mod.dim
+        ops = [mat_sub(x, mat_scale(identity(n), c)) for x, c in zip(mod.x_matrices, lam)]
+        full = _koszul_cohomology_dims(ops + [zero_matrix(n, n)])
+        table = ext_self_induced(H, lam, module=mod)
+        assert [table.dims[t] for t in range(H.rs.dim + 2)] == full
+        assert sorted(table.dims) == list(range(H.rs.dim + 2))
+        assert full == [comb(H.rs.dim + 1, t) for t in range(H.rs.dim + 2)]
 
 
 def test_block_d_squared_is_the_commutator():

@@ -12,7 +12,8 @@ from gradedhecke import modules
 from gradedhecke.groupalgebra import TwistedGroupAlgebra
 from gradedhecke.hecke import HeckeAlgebra
 from gradedhecke.homology import ext_self_induced
-from gradedhecke.linalg import identity, mat_add, mat_mul, mat_scale, matrix, zero_matrix
+from gradedhecke.linalg import identity, mat_add, mat_mul, mat_scale, mat_sub, matrix, \
+    zero_matrix
 from gradedhecke.modules import FiniteDimModule, action_matrix, classify_rank_one, \
     induce_from_character, is_essentially_discrete_series, is_regular, is_tempered, \
     restrict_to_group_algebra, weight_decomposition, weight_multiset_oracle, \
@@ -201,18 +202,123 @@ A3 = {"types": [["A", 3]], "k": ["1"]}
 
 def test_group_law_is_checked_above_sixteen_elements():
     """On A3 (24 elements) x = (1, -1, 1), N = (1, -1, 1) satisfies every exchange
-    relation but breaks s1 s2 s1 = s2 s1 s2."""
+    relation but breaks s1 s2 s1 = s2 s1 s2 and s2 s3 s2 = s3 s2 s3."""
     H = algebra_from_config(A3)
     assert len(H.group) == 24
     signs = [1, -1, 1]
     gens = {("s", i): [[c]] for i, c in enumerate(signs)}
     bad = FiniteDimModule(H, [[[c]] for c in signs], gens, validate=False)
     problems = bad.validate()
-    assert problems and all("group law fails" in p for p in problems)
+    assert problems == ["group law fails at s1 s2 s1 = s2 s1 s2",
+                        "group law fails at s2 s3 s2 = s3 s2 s3"]
+    assert _group_law_oracle(bad)
     with pytest.raises(ValueError, match="group law fails"):
         FiniteDimModule(H, [[[c]] for c in signs], gens)
     ones = FiniteDimModule(H, [[[1]]] * 3, {("s", i): [[1]] for i in range(3)})
     assert weight_decomposition(ones)[0].weight == (1, 1, 1)
+
+
+# --- the group law: the presentation against every generator x element pair ----------------
+
+def _group_law_oracle(module):
+    """N_g action(v) = c(g, v) action(gv) on every generator g and element v, one
+    message per failing generator: the full check that `validate` replaces with
+    the presentation of W x| Gamma."""
+    alg = module.algebra
+    group = alg.group
+    problems = []
+    for kind, i in modules.generator_keys(alg).values():
+        g = group.simple(i) if kind == "s" else group.gamma_element(i)
+        mg = module.generator_matrices[kind, i]
+        for v in group.elements:
+            target = mat_scale(module.action(group.multiply(g, v)), alg.cocycle.value(g, v))
+            if mat_mul(mg, module.action(v)) != target:
+                problems.append(f"group law fails at {g!r} * {v!r}")
+                break
+    return problems
+
+
+def _group_law(module):
+    return [p for p in module.validate() if "group law fails" in p]
+
+
+def _three_modes(name):
+    generic = build_preset(name)
+    return [(build_preset(name, mode="r1"), Fraction(1)), (generic, Fraction(1, 2)),
+            (generic.crossed_product(), Fraction(1))]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_group_law_presentation_accepts_every_induced_module(name):
+    rng = random.Random(zlib.crc32(f"group-law-{name}".encode()))
+    for algebra, r in _three_modes(name):
+        lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(algebra.rs.dim))
+        mod = induce_from_character(algebra, lam, r, validate=False)
+        assert mod.validate() == [] and _group_law_oracle(mod) == []
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_group_law_presentation_matches_the_full_loop_on_perturbations(name, data):
+    """A single entry of one N matrix moved, one N matrix negated, or every N
+    matrix conjugated by the same elementary matrix (which keeps the group law
+    and breaks the exchange relations): the presentation and the full loop
+    accept and reject the same modules."""
+    algebra, r = data.draw(st.sampled_from(_three_modes(name)))
+    lam = tuple(data.draw(st.fractions(-9, 9, max_denominator=3)) for _ in range(algebra.rs.dim))
+    mod = induce_from_character(algebra, lam, r, validate=False)
+    key = data.draw(st.sampled_from(sorted(mod.generator_matrices)))
+    gens = mod.generators
+    kind = data.draw(st.sampled_from(["entry", "negate", "conjugate"]))
+    row, col = (data.draw(st.integers(0, mod.dim - 1)) for _ in range(2))
+    if kind == "entry":
+        gens[key][row][col] += data.draw(st.sampled_from([1, -1, Fraction(1, 2), -2]))
+    elif kind == "negate":
+        gens[key] = [[-c for c in line] for line in gens[key]]
+    elif row != col:
+        # P = I + E_{row, col} has the inverse I - E_{row, col}
+        e = matrix([[int((a, b) == (row, col)) for b in range(mod.dim)] for a in range(mod.dim)])
+        p, q = mat_add(identity(mod.dim), e), mat_sub(identity(mod.dim), e)
+        gens = {k: mat_mul(mat_mul(p, matrix(m)), q).fractions() for k, m in gens.items()}
+    bad = FiniteDimModule(algebra, mod.x, gens, r, validate=False)
+    assert bool(_group_law(bad)) == bool(_group_law_oracle(bad)), (kind, key, row, col)
+
+
+@pytest.mark.parametrize("twist", [Fraction(-1), Fraction(1, 2)])
+def test_group_law_presentation_matches_the_full_loop_under_cocycle_twists(twist):
+    """Over A2flip-tw with c(g, g) = twist, the induced module passes both checks;
+    its matrices over the other twist fail both, at g1 g1."""
+    base = build_preset("A2flip-tw", mode="r1")
+
+    def twisted(t):
+        cocycle = Cocycle(base.group, [[1, 1], [1, t]], normalize=False)
+        return HeckeAlgebra(base.group, base.k, cocycle, mode="r1")
+
+    algebra, other = twisted(twist), twisted(Fraction(1, 2) if twist == -1 else Fraction(-1))
+    mod = induce_from_character(algebra, (Fraction(1), Fraction(4)))
+    assert _group_law(mod) == [] and _group_law_oracle(mod) == []
+    moved = FiniteDimModule(other, mod.x, mod.generators, validate=False)
+    assert _group_law(moved) == ["group law fails at g1 g1 = c(g1, g1) 1"]
+    assert _group_law_oracle(moved)
+
+
+@pytest.mark.parametrize("name, gens, relations", [
+    ("A2flip", {("s", 0): 1, ("s", 1): 1, ("g", 1): 2}, ["g1 g1 = c(g1, g1) 1"]),
+    ("A2flip-tw", {("s", 0): -1, ("s", 1): -1, ("g", 1): 1}, ["g1 g1 = c(g1, g1) 1"]),
+    ("A1xA1swap", {("s", 0): 1, ("s", 1): -1, ("g", 1): 1}, ["g1 s1 = s2 g1", "g1 s2 = s1 g1"]),
+])
+def test_one_dim_module_breaking_only_a_gamma_relation(name, gens, relations):
+    """x = 0 at k = 0 meets every exchange relation, and the signs of the
+    simple reflections meet the Coxeter relations, so only Gamma's own product
+    or its conjugation of the simple reflections fails."""
+    algebra = build_preset(name).crossed_product()
+    x = [[[0]] for _ in range(algebra.rs.dim)]
+    bad = FiniteDimModule(algebra, x, {key: [[c]] for key, c in gens.items()}, validate=False)
+    assert bad.validate() == [f"group law fails at {r}" for r in relations]
+    assert _group_law_oracle(bad)
+    with pytest.raises(ValueError, match="group law fails"):
+        FiniteDimModule(algebra, x, {key: [[c]] for key, c in gens.items()})
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -5,6 +5,7 @@ import pytest
 
 from gradedhecke.presets import PRESETS, build_preset
 from gradedhecke.rootdata import RootSystem
+from gradedhecke.scalars import Cyc
 from gradedhecke.weylgroups import Cocycle, ExtendedWeylGroup, ParameterFunction, \
     centralizer_components
 
@@ -313,6 +314,38 @@ def test_normalization_shift():
     table = [[Fraction(3), Fraction(3)], [Fraction(3), Fraction(-3)]]
     nat = Cocycle(g, table)  # normalized at construction
     assert nat.table[0][0] == 1
+    assert nat.validate() is None
+
+
+@pytest.mark.parametrize("bad", [-1.0, True, 1j])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_cocycle_rejects_an_inexact_value_at_construction(bad, normalize):
+    """-1.0 used to fail only at a product ("not a scalar: -1.0"), and True to
+    make the cocycle trivial."""
+    g = group([("A", 2)], gamma=[(1, 0)])
+    with pytest.raises(TypeError, match="exact scalar"):
+        Cocycle(g, [[1, 1], [1, bad]], normalize=normalize)
+
+
+def test_cocycle_stores_exact_values_as_given():
+    g = group([("A", 2)], gamma=[(1, 0)])
+    ints = Cocycle(g, [[1, 1], [1, -1]])
+    assert ints.table == [[1, 1], [1, -1]]
+    assert all(type(v) is int for row in ints.table for v in row)
+    assert repr(ints) == "Cocycle([['1', '1'], ['1', '-1']])"
+    strings = Cocycle(g, [["1", "1"], ["1", "-1/2"]])
+    assert strings.table == [[1, 1], [1, Fraction(-1, 2)]]
+    assert all(type(v) is Fraction for row in strings.table for v in row)
+    z = Cyc(4, [Fraction(0), Fraction(1)])
+    assert Cocycle(g, [[1, 1], [1, z]]).table[1][1] is z
+
+
+def test_cocycle_normalizes_an_int_table_exactly():
+    """Dividing ints by the int c(1, 1) once gave floats: 2 / 2 = 1.0."""
+    g = group([("A", 2)], gamma=[(1, 0)])
+    nat = Cocycle(g, [[2, 2], [2, -2]])
+    assert nat.table == [[1, 1], [1, -1]]
+    assert all(type(v) is Fraction for row in nat.table for v in row)
     assert nat.validate() is None
 
 

@@ -8,7 +8,7 @@ dimensional modules; and probe Koszul resolutions and Ext tables.  Every
 number is an exact rational or cyclotomic scalar.
 """
 
-from .scalars import Cyc, Fraction, frac
+from .scalars import Cyc, Fraction
 from .polynomials import Polynomial, divide_by_linear
 from .rootdata import CartanSpec, ConePosition, RootSystem, cartan_matrix
 from .weylgroups import Cocycle, EpsilonCharacter, ExtendedWeylGroup, GroupElement, \
@@ -30,7 +30,7 @@ from .verification import SuiteResult, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cyc", "Fraction", "frac", "Polynomial", "divide_by_linear",
+    "Cyc", "Fraction", "Polynomial", "divide_by_linear",
     "CartanSpec", "ConePosition", "RootSystem", "cartan_matrix",
     "Cocycle", "EpsilonCharacter", "ExtendedWeylGroup", "GroupElement",
     "ParameterFunction", "centralizer_components",

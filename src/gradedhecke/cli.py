@@ -107,17 +107,15 @@ def _load_lie_fixture(path: str) -> RootGradedLieAlgebra:
     brackets = {}
     for key, expansion in data["brackets"].items():
         i, j = (int(t) for t in key.split(","))
-        brackets[i, j] = {int(t): Fraction(c) for t, c in expansion.items()}
-    return RootGradedLieAlgebra(
-        data["basis"], brackets,
-        [tuple(Fraction(c) for c in w) for w in data["weights"]],
-        data["levi"], data["nilradical"])
+        brackets[i, j] = {int(t): c for t, c in expansion.items()}
+    return RootGradedLieAlgebra(data["basis"], brackets, data["weights"],
+                                data["levi"], data["nilradical"])
 
 
 def cmd_params(args) -> int:
     try:
         lie = _load_lie_fixture(args.lie_file)
-    except (OSError, KeyError, ValueError) as err:
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         print(f"fixture error: {err}", file=sys.stderr)
         return 2
     v = json.loads(args.v) if args.v else {}

@@ -101,11 +101,8 @@ class TwistedGroupAlgebra:
 
     def _center_basis(self):
         # z central iff z N_g = N_g z for the group generators g
-        gens = [self.group.simple(i) for i in range(self.group.rs.rank)]
-        gens += [self.group.gamma_element(gi)
-                 for gi in range(1, len(self.group.gamma_elements))]
         rows = []
-        for g in gens:
+        for g in self.group.generators:
             gi = g.index
             # coefficient of N_w in (z N_g - N_g z) as a linear map of z
             m = [[Fraction(0)] * self.n for _ in range(self.n)]

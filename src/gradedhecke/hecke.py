@@ -141,10 +141,6 @@ class HeckeAlgebra:
             raise ValueError("r1 mode elements cannot mention r")
 
     # -- straightening ------------------------------------------------------------------
-    def _demazure(self, i: int, p: Polynomial) -> Polynomial:
-        moved = self.group.act_polynomial(self.group.simple(i), p)
-        return divide_by_linear(p - moved, self._simple_polys[i])
-
     def demazure(self, beta, p: Polynomial) -> Polynomial:
         """Divided difference (p - ^{s_beta} p) / beta for any root beta."""
         if not self.rs.is_root(tuple(beta)):
@@ -295,13 +291,8 @@ class HeckeAlgebra:
     def is_central(self, a: "HeckeElement"):
         """(True, None) if a commutes with every generator, else (False, witness)."""
         self._assert_mine(a)
-        gens: list[HeckeElement] = []
-        for i in range(self.rs.rank):
-            gens.append(self.N(self.group.simple(i)))
-        for gi in range(1, len(self.group.gamma_elements)):
-            gens.append(self.N(self.group.gamma_element(gi)))
-        for i in range(self.rs.dim):
-            gens.append(self.x(i))
+        gens = [self.N(g) for g in self.group.generators] + \
+            [self.x(i) for i in range(self.rs.dim)]
         for g in gens:
             if self.multiply(a, g) != self.multiply(g, a):
                 return False, g

@@ -19,8 +19,10 @@ Three pipelines, all exact:
 
 * `koszul_dual_dims` - graded dimensions of Ext against the degree-zero
   part: its free resolution has rank binomial(d + 1, n) in degree n, and
-  every differential induced on Hom vanishes, which is verified, leaving
-  binomial(d + 1, n) * |W x| Gamma| in degree n.
+  every differential induced on Hom vanishes for degree reasons, leaving
+  binomial(d + 1, n) * |W x| Gamma| in degree n.  The formula is returned
+  as it stands; `verification.suite_homology` checks the vanishing through
+  the straightening kernel.
 
 Scalar matrices are `linalg.Matrix` values, integer rows over one
 denominator, and all their work goes through `linalg`.  The one product of
@@ -36,8 +38,9 @@ from itertools import combinations
 from math import comb
 
 from .hecke import HeckeAlgebra
-from .linalg import block_matrix, identity, mat_scale, mat_sub, matrix, rank, zero_matrix
-from .modules import FiniteDimModule, action_matrix, induce_from_character, is_regular
+from .linalg import Matrix, block_matrix, identity, mat_scale, mat_sub, matrix, rank, \
+    zero_matrix
+from .modules import FiniteDimModule, _point, induce_from_character, is_regular
 from .polynomials import Polynomial
 from .scalars import exact_scalar
 
@@ -88,12 +91,14 @@ class ChainComplex:
         return out
 
     def to_json(self) -> dict:
-        """Inspectable form: ranks plus differential entries as text."""
+        """Inspectable form: ranks plus differential entries as text, a
+        `linalg.Matrix` read back as its Fractions."""
         names = [f"x{i + 1}" for i in range(max(self.nvars - 1, 0))] + ["r"]
         diffs = []
         for m in self.differentials:
-            diffs.append([[p.to_string(names) if hasattr(p, "to_string") else str(p)
-                           for p in row] for row in m])
+            rows = m.fractions() if isinstance(m, Matrix) else m
+            diffs.append([[p.to_string(names) if isinstance(p, Polynomial) else str(p)
+                           for p in row] for row in rows])
         return {"ranks": list(self.ranks), "differentials": diffs}
 
 
@@ -177,32 +182,19 @@ def projective_resolution_H0(algebra: HeckeAlgebra) -> ChainComplex:
     return koszul_resolution(algebra.nvars)
 
 
-def degree_zero_action(algebra: HeckeAlgebra, variable_index: int):
-    """Action of a degree-two generator on the degree-zero part H_0.
-
-    H_0 is the twisted group algebra, the quotient of H by the left ideal
-    of positive-degree coefficients; the action is computed through the
-    straightening kernel and must vanish identically.
-    """
-    nv = algebra.nvars
-    gen = algebra.poly(Polynomial.variable(nv, variable_index))
-    return action_matrix(algebra, gen, [Fraction(0)] * nv)
-
-
 def koszul_dual_dims(algebra: HeckeAlgebra) -> dict[int, int]:
     """Graded dimensions of Ext against the degree-zero part.
 
-    Pushes the free resolution through Hom(-, H_0): the induced maps are
-    contraction entries acting on H_0, verified to vanish, so degree n
-    contributes binomial(dim t + 1, n) * |W x| Gamma|.
+    Pushes the free resolution of `projective_resolution_H0` through
+    Hom(-, H_0), giving Hom(Lambda^n(t + line), H_0) in degree n, of dimension
+    binomial(dim t + 1, n) * |W x| Gamma|.  Every induced map is zero: its
+    entries act by the degree-two generators x_i and r, and H_0 = H / H H_{>0}
+    lies in degree zero, so each of them sends H_0 into its degree-two part,
+    which is zero.  The verification suite checks this vanishing through the
+    straightening kernel.
     """
     if algebra.mode == "r1":
         raise ValueError("Koszul duality data lives over the generic algebra")
-    # verify: every variable acts by zero on H_0
-    for i in list(range(algebra.rs.dim)) + [algebra.nvars - 1]:
-        action = degree_zero_action(algebra, i)
-        if any(any(x != 0 for x in row) for row in action):
-            raise AssertionError("a degree-two generator acts nontrivially on H_0")
     nvars, order = algebra.nvars, len(algebra.group)
     return {n: comb(nvars, n) * order for n in range(nvars + 1)}
 
@@ -224,7 +216,7 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
     non-regular weights, where that identification breaks, and for a
     `module` that cannot be ind(weight) (see `_check_induced`).
     """
-    point = tuple(exact_scalar(c) for c in weight)
+    point = _point(algebra, weight)
     r_value = exact_scalar(r_value)
     if not is_regular(algebra, point):
         raise ValueError(f"weight {weight} is not regular for this group")

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .linalg import coordinates, identity, mat_mul, mat_sub, matrix, nullspace, rref, transpose
 from .rootdata import RootSystem
+from .scalars import exact_scalar
 from .weylgroups import ExtendedWeylGroup, ParameterFunction
 
 __all__ = [
@@ -37,19 +38,19 @@ __all__ = [
 class RootGradedLieAlgebra:
     """Structure constants with a torus grading and parabolic tags."""
 
-    def __init__(self, basis_names, brackets, weights, in_levi, in_nilradical,
-                 validate=True):
+    def __init__(self, basis_names, brackets, weights, in_levi, in_nilradical):
         self.basis_names = list(basis_names)
         self.n = len(self.basis_names)
-        self.brackets = {tuple(k): {i: Fraction(c) for i, c in v.items() if c}
-                         for k, v in brackets.items()}
-        self.weights = [tuple(Fraction(c) for c in w) for w in weights]
+        self.brackets = {}
+        for k, v in brackets.items():
+            exact = {i: exact_scalar(c) for i, c in v.items()}
+            self.brackets[tuple(k)] = {i: c for i, c in exact.items() if c}
+        self.weights = [tuple(exact_scalar(c) for c in w) for w in weights]
         self.in_levi = list(in_levi)
         self.in_nilradical = list(in_nilradical)
-        if validate:
-            problems = self.validate()
-            if problems:
-                raise ValueError(problems[0])
+        problems = self.validate()
+        if problems:
+            raise ValueError(problems[0])
 
     # -- bracket ------------------------------------------------------------------
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
@@ -154,11 +155,12 @@ class RootGradedLieAlgebra:
         else:
             raise ValueError("v must be {name: coeff} or a list of coefficients")
         try:
-            return {i: Fraction(c) for i, c in coords.items() if Fraction(c)}
+            exact = {i: exact_scalar(c) for i, c in coords.items()}
         except ZeroDivisionError:
             raise ValueError("zero denominator in a coordinate of v") from None
-        except TypeError:
-            raise ValueError("a coordinate of v is not a number") from None
+        except TypeError as err:
+            raise ValueError(f"a coordinate of v is not exact: {err}") from None
+        return {i: c for i, c in exact.items() if c}
 
     def __repr__(self):
         return f"RootGradedLieAlgebra(dim={self.n})"
@@ -317,7 +319,7 @@ def f4_ratio_admissible(k_short, k_long) -> bool:
     Admissible pairs: (0,0), (c,0), (0,c), (c,c), (2c,c), (c/2,c), (4c,c),
     (-c,c), (-2c,c), (-c/2,c), (-4c,c) for arbitrary nonzero c.
     """
-    ks, kl = Fraction(k_short), Fraction(k_long)
+    ks, kl = exact_scalar(k_short), exact_scalar(k_long)
     if kl == 0:
         return True  # (0,0) or (c,0)
     return ks / kl in F4_RATIOS

@@ -251,18 +251,15 @@ def induce_from_character(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
     matrices come from `_x_matrices`.  They equal the `action_matrix` of
     each generator at (weight, r_value), which a test checks.
     """
-    rs = algebra.rs
     _require_rational(algebra)
-    if len(weight) != rs.dim:
-        raise ValueError(f"weight needs {rs.dim} coordinates")
-    point = [exact_scalar(c) for c in weight]
+    point = _point(algebra, weight)
     r = exact_scalar(r_value)
     group = algebra.group
-    gens = [("s", i, group.simple(i)) for i in range(rs.rank)]
-    gens += [("g", gi, group.gamma_element(gi)) for gi in range(1, len(group.gamma_elements))]
     # left[g][w] = index of g w
-    left = {g.index: [group.multiply(g, w).index for w in group.elements] for *_, g in gens}
-    mats = {(kind, i): _monomial_matrix(algebra, g, left[g.index]) for kind, i, g in gens}
+    left = {g.index: [group.multiply(g, w).index for w in group.elements]
+            for g in group.generators}
+    mats = {key: _monomial_matrix(algebra, g, left[g.index])
+            for key, g in zip(generator_keys(algebra).values(), group.generators)}
     x_mats = _x_matrices(algebra, point, r, left)
     return FiniteDimModule(algebra, x_mats, mats, r, validate=validate)
 
@@ -366,16 +363,27 @@ def action_matrix(algebra: HeckeAlgebra, element, point):
     return rows
 
 
+def _point(algebra: HeckeAlgebra, weight) -> tuple:
+    """`weight` as a point of t: one exact coordinate per ambient dimension.
+
+    Each coordinate goes through `exact_scalar`, so a float, bool or complex
+    one raises TypeError; a wrong count raises ValueError.  Every public
+    function that takes a weight reads it through here.
+    """
+    point = tuple(exact_scalar(c) for c in weight)
+    if len(point) != algebra.rs.dim:
+        raise ValueError(f"weight needs {algebra.rs.dim} coordinates")
+    return point
+
+
 def weight_multiset_oracle(algebra: HeckeAlgebra, weight) -> list[tuple]:
     """{w . weight : w in the group}, computed purely from the group action."""
-    pt = tuple(exact_scalar(c) for c in weight)
+    pt = _point(algebra, weight)
     return sorted(algebra.group.act_point(w, pt) for w in algebra.group.elements)
 
 
 def is_regular(algebra: HeckeAlgebra, weight) -> bool:
-    pt = tuple(exact_scalar(c) for c in weight)
-    if len(pt) != algebra.rs.dim:
-        raise ValueError(f"weight needs {algebra.rs.dim} coordinates")
+    pt = _point(algebra, weight)
     return all(algebra.group.act_point(w, pt) != pt
                for w in algebra.group.elements if not w.is_identity())
 
@@ -489,7 +497,7 @@ class RankOneRecord:
             (" (" + ", ".join(flags) + ")" if flags else "")
 
 
-def classify_rank_one(algebra: HeckeAlgebra, generic_samples=(Fraction(2), Fraction(5))):
+def classify_rank_one(algebra: HeckeAlgebra):
     """All irreducible modules of the rank-one specialization with real weights.
 
     Requires an A1 root system with trivial Gamma.  Every irreducible is a
@@ -522,8 +530,7 @@ def classify_rank_one(algebra: HeckeAlgebra, generic_samples=(Fraction(2), Fract
         if not _has_one_dim_submodule(ind0, wd):
             records.append(_record("pi_0", ind0, wd))
     # generic samples: irreducible two-dimensional principal series
-    for lam in generic_samples:
-        lam = Fraction(lam)
+    for lam in (Fraction(2), Fraction(5)):
         if lam in (k, -k, 0):
             continue
         ind = induce_from_character(algebra, (lam,))

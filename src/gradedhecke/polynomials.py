@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import frac, scalar_str
+from .scalars import exact_scalar, scalar_str
 
 __all__ = ["Polynomial", "divide_by_linear"]
 
@@ -86,7 +86,8 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._check(other)
             return other
-        return Polynomial.constant(self.nvars, frac(other) if isinstance(other, (int, str)) else other)
+        return Polynomial.constant(self.nvars, exact_scalar(other)
+                                   if isinstance(other, (int, str)) else other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -144,7 +145,7 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             if isinstance(other, (int, Fraction)):
-                return self == Polynomial.constant(self.nvars, frac(other))
+                return self == Polynomial.constant(self.nvars, Fraction(other))
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 

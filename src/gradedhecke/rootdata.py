@@ -265,11 +265,6 @@ class RootSystem:
         coeffs, = coordinates(matrix(self.cartan), matrix([root_part])).fractions()
         return ConePosition(tuple(coeffs), tuple(Fraction(c) for c in point[self.rank:]))
 
-    def in_obtuse_negative_cone(self, point) -> tuple[bool, bool]:
-        """(closed-cone membership, strict-interior membership) within the root span."""
-        pos = self.cone_position(point)
-        return pos.in_closed_cone, pos.in_open_cone
-
     # -- reconstruction from raw vectors ------------------------------------------
     @classmethod
     def from_root_vectors(cls, vectors) -> tuple["RootSystem", dict]:

@@ -38,19 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["Fraction", "frac", "exact_scalar", "Cyc", "scalar_str", "cyclotomic_poly",
+__all__ = ["Fraction", "exact_scalar", "Cyc", "scalar_str", "cyclotomic_poly",
            "split_scalar", "divide_scalar"]
-
-
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4' and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
 def exact_scalar(x, cyclotomic=False):
@@ -190,7 +179,7 @@ class Cyc:
             raise ValueError("cyclotomic order must be >= 1")
         phi = cyclotomic_poly(order)
         deg = len(phi) - 1
-        cs = [frac(c) for c in coeffs]
+        cs = [exact_scalar(c) for c in coeffs]
         if len(cs) >= len(phi):
             _, cs = poly_divmod(cs, phi)
         cs = cs + [Fraction(0)] * (deg - len(cs))

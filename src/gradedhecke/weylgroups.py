@@ -71,14 +71,16 @@ def _perm_inverse(p):
 class ExtendedWeylGroup:
     """W x| Gamma acting on the ambient space of a root system."""
 
-    def __init__(self, root_system: RootSystem, gamma_generators=(),
-                 size_cap: int = GROUP_SIZE_CAP):
+    def __init__(self, root_system: RootSystem, gamma_generators=()):
         self.rs = root_system
         self.gamma_elements = self._close_gamma([tuple(g) for g in gamma_generators])
         self.elements: list[GroupElement] = []
         self._by_key: dict[tuple, GroupElement] = {}
-        self._enumerate(size_cap)
+        self._enumerate()
         self.identity = self.elements[0]
+        # s_1 .. s_rank, then the non-identity Gamma elements
+        self.generators = [self.simple(i) for i in range(root_system.rank)] + \
+            [self.gamma_element(gi) for gi in range(1, len(self.gamma_elements))]
         self._images: dict[int, list] = {}   # act_polynomial's images, per element index
 
     # -- Gamma --------------------------------------------------------------------
@@ -111,7 +113,7 @@ class ExtendedWeylGroup:
         return [ident] + rest
 
     # -- enumeration ----------------------------------------------------------------
-    def _enumerate(self, size_cap: int):
+    def _enumerate(self):
         rs = self.rs
         rank, roots, index = rs.rank, rs.roots, rs.root_index
         # the generators as root permutations: s_1 .. s_rank, then each Gamma
@@ -133,7 +135,7 @@ class ExtendedWeylGroup:
                     if prod not in w_words:
                         w_words[prod] = word + (i,)
                         new.append(prod)
-                        if len(w_words) * n_gamma > size_cap:
+                        if len(w_words) * n_gamma > GROUP_SIZE_CAP:
                             raise ValueError("group enumeration exceeded the size cap")
             frontier = new
 
@@ -405,7 +407,7 @@ class ParameterFunction:
         missing = [b for b in group.rs.roots if b not in self.values]
         if missing:
             raise ValueError(f"parameter function missing roots, e.g. {missing[0]}")
-        bad = self._generator_failure()
+        bad = self.invariance_failure()
         if bad is not None:
             raise ValueError(
                 f"parameter function not invariant on the orbit of {bad}")
@@ -450,27 +452,16 @@ class ParameterFunction:
         return self.values[tuple(beta)]
 
     def invariance_failure(self):
-        """Return a root whose orbit carries unequal values, or None."""
-        for b in self.group.rs.roots:
-            v = self.values[b]
-            for g in self.group.elements:
-                if self.values[self.group.act_root(g, b)] != v:
-                    return b
-        return None
+        """Return a root whose orbit carries unequal values, or None.
 
-    def _generator_failure(self):
-        """Return a root that a generator moves to an unequal value, or None.
-
-        The simple reflections and Gamma generate the group, so this finds a
-        failure exactly when `invariance_failure` does, with |R| (rank + |Gamma|)
-        lookups instead of |R| |G|.
+        The simple reflections and Gamma generate the group, and a value
+        preserved by every generator is preserved by every product of them,
+        so |R| (rank + |Gamma| - 1) lookups suffice, not |R| |W x| Gamma|.
         """
         group = self.group
-        gens = [group.simple(i) for i in range(group.rs.rank)]
-        gens += [group.gamma_element(gi) for gi in range(1, len(group.gamma_elements))]
         for b in group.rs.roots:
             v = self.values[b]
-            for g in gens:
+            for g in group.generators:
                 if self.values[group.act_root(g, b)] != v:
                     return b
         return None

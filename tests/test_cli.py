@@ -789,3 +789,39 @@ def test_fuzzed_module_files_exit_0_or_2_without_traceback(tmp_path, capsys):
             assert err and "\n" not in err, err
 
     run()
+
+
+@pytest.mark.parametrize("v", ['{"E12": 0.1}', '{"E12": true}', '[0, 0.5]'])
+def test_params_rejects_inexact_nilpotent(v, capsys):
+    assert run_cli("params", _SL3_LEVI, "--v", v) == 2
+    assert "not exact" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("weights", [[0], [2.0], [-2], [0]], "expected an exact scalar"),
+    ("weights", [[0], [2], [-2], [False]], "expected an exact scalar"),
+    ("brackets", {"0,1": {"1": 2.0}}, "expected an exact scalar"),
+    ("brackets", {"0,1": {"1": "1/0"}}, "Fraction(1, 0)"),
+    ("weights", 5, "not iterable"),
+])
+def test_params_rejects_inexact_or_malformed_fixture(field, bad, message, tmp_path, capsys):
+    root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    data = json.loads((root / "heisenberg_graded.json").read_text())
+    data[field] = bad
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("params", str(path), "--v", '{"z": 1}') == 2
+    err = _one_line_error(capsys)
+    assert err.startswith("fixture error: ") and message in err
+
+
+def test_params_rejects_a_builder_fixture_with_scalar_blocks(tmp_path, capsys):
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps({"builder": "sl", "size": 3, "levi_blocks": 5}))
+    assert run_cli("params", str(path)) == 2
+    assert _one_line_error(capsys).startswith("fixture error: ")
+
+
+def test_params_accepts_exact_strings(capsys):
+    assert run_cli("params", _SL3_LEVI, "--v", '{"E12": "1/2"}') == 0
+    assert "invariance: ok" in capsys.readouterr().out

@@ -38,6 +38,14 @@ def test_generic_point_exactness():
     assert degenerate.homology_dims() == c.ranks
 
 
+def test_evaluated_complex_to_json_prints_fractions():
+    complex_ = koszul_resolution(2)
+    assert complex_.to_json()["differentials"][0] == [["x1", "r"]]
+    evaluated = complex_.evaluate((Fraction(1, 2), Fraction(3)))
+    assert evaluated.to_json() == {"ranks": [1, 2, 1],
+                                   "differentials": [[["1/2", "3"]], [["-3"], ["1/2"]]]}
+
+
 def test_ext_dims_a1():
     H = build_preset("A1", mode="r1")
     table = ext_self_induced(H, (Fraction(1),))

@@ -155,3 +155,37 @@ def test_f4_table():
     assert not f4_ratio_admissible(3, 1)
     assert not f4_ratio_admissible(Fraction(1, 3), 1)
     assert not f4_ratio_admissible(5, 2)
+
+
+@pytest.mark.parametrize("bad", [0.5, True, 1 + 0j])
+def test_structure_constants_and_weights_must_be_exact(bad):
+    basis, levi, nil = ["h", "e"], [True, False], [False, True]
+    with pytest.raises(TypeError, match="exact scalar"):
+        RootGradedLieAlgebra(basis, {(0, 1): {1: bad}}, [(0,), (2,)], levi, nil)
+    with pytest.raises(TypeError, match="exact scalar"):
+        RootGradedLieAlgebra(basis, {(0, 1): {1: 2}}, [(0,), (bad,)], levi, nil)
+
+
+def test_exact_strings_still_enter_the_lie_layer():
+    L = RootGradedLieAlgebra(["h", "e"], {(0, 1): {1: "2"}, (1, 0): {1: "-2"}},
+                             [("0",), ("2",)], [True, False], [False, True])
+    assert L.weights == [(Fraction(0),), (Fraction(2),)]
+    assert L.bracket_basis(0, 1) == {1: Fraction(2)}
+    sl3 = build_sl(3, [2, 1])
+    assert sl3.parse_vector({"E12": "1/2", "E21": "0"}) == \
+        {sl3.basis_names.index("E12"): Fraction(1, 2)}
+    assert f4_ratio_admissible("1/2", 1) and f4_ratio_admissible(Fraction(2), "1")
+
+
+@pytest.mark.parametrize("bad", [0.1, True, False])
+def test_nilpotent_coordinates_must_be_exact(bad):
+    with pytest.raises(ValueError, match="not exact"):
+        build_sl(3, [2, 1]).parse_vector({"E12": bad})
+    with pytest.raises(ValueError, match="not exact"):
+        compute_parameters(build_sl(3, [2, 1]), [bad])
+
+
+@pytest.mark.parametrize("args", [(True, 1), (1, True), (0.5, 1), (1, 2.0)])
+def test_f4_ratio_rejects_inexact_parameters(args):
+    with pytest.raises(TypeError, match="exact scalar"):
+        f4_ratio_admissible(*args)

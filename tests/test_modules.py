@@ -18,7 +18,7 @@ from gradedhecke.modules import FiniteDimModule, action_matrix, classify_rank_on
     induce_from_character, is_essentially_discrete_series, is_regular, is_tempered, \
     restrict_to_group_algebra, weight_decomposition, weight_multiset_oracle, \
     zeta_rank_one
-from gradedhecke.polynomials import Polynomial
+from gradedhecke.polynomials import Polynomial, divide_by_linear
 from gradedhecke.presets import PRESETS, algebra_from_config, build_preset
 from gradedhecke.scalars import Cyc, exact_scalar
 from gradedhecke.weylgroups import Cocycle, ParameterFunction
@@ -121,8 +121,8 @@ def test_validate_catches_gamma_conjugation_a2flip_tw():
 def _exchange_oracle(module):
     """The braid and Gamma conjugation checks by a second route, on the matrices
     of linear polynomials: N_s X(x_j) - X(^s x_j) N_s = k_s r D_s(x_j) I and
-    N_g X(x_j) = X(^g x_j) N_g, with ^s x_j from `act_polynomial` and D_s from
-    `_demazure`."""
+    N_g X(x_j) = X(^g x_j) N_g, with ^s x_j from `act_polynomial` and D_s x_j =
+    (x_j - ^s x_j) / alpha_s divided here."""
     alg, n = module.algebra, module.dim
     x = module.x_matrices
 
@@ -144,8 +144,11 @@ def _exchange_oracle(module):
         ns = module.generator_matrices[("s", i)]
         for j in range(alg.rs.dim):
             xi = Polynomial.variable(alg.nvars, j)
-            rhs = mat_mul(linear(alg.group.act_polynomial(s, xi)), ns)
-            corr = alg._k_simple[i] * module.r_value * alg._demazure(i, xi).constant_term()
+            moved = alg.group.act_polynomial(s, xi)
+            rhs = mat_mul(linear(moved), ns)
+            alpha = alg.rs.root_polynomial(alg.rs._simple(i))
+            corr = alg._k_simple[i] * module.r_value * \
+                divide_by_linear(xi - moved, alpha).constant_term()
             if mat_mul(ns, x[j]) != mat_add(rhs, mat_scale(identity(n), corr)):
                 problems.append(f"braid relation fails for s{i + 1}, x{j + 1}")
     for gi in range(1, len(alg.group.gamma_elements)):
@@ -734,3 +737,12 @@ def test_first_modules_bench_ops_match_their_reference_digests(monkeypatch):
         inp = workload.make_input(i)
         holds, digest, _ = workload.check(inp, workload.run(inp))
         assert holds and digest == workload.reference(i), i
+
+
+@pytest.mark.parametrize("weight", [(1, 2, 3), (1,), ()])
+def test_every_weight_entry_point_checks_the_coordinate_count(weight):
+    B2 = build_preset("B2", mode="r1")
+    for call in (weight_multiset_oracle, is_regular, induce_from_character,
+                 ext_self_induced):
+        with pytest.raises(ValueError, match="^weight needs 2 coordinates$"):
+            call(B2, weight)

@@ -72,23 +72,27 @@ def test_pairings_are_integral():
 
 
 def test_cone_membership():
+    def membership(rs, point):
+        pos = rs.cone_position(point)
+        return pos.in_closed_cone, pos.in_open_cone
+
     a1 = RootSystem.from_specs([("A", 1)])
-    closed, interior = a1.in_obtuse_negative_cone((Fraction(0),))
+    closed, interior = membership(a1, (Fraction(0),))
     assert closed and not interior
-    closed, interior = a1.in_obtuse_negative_cone((Fraction(-2),))
+    closed, interior = membership(a1, (Fraction(-2),))
     assert closed and interior
 
     a2 = RootSystem.from_specs([("A", 2)])
     # fundamental coweight direction: alpha_1 = 1, alpha_2 = 0 values
-    closed, _ = a2.in_obtuse_negative_cone((Fraction(1), Fraction(0)))
+    closed, _ = membership(a2, (Fraction(1), Fraction(0)))
     assert not closed
     # negative of the first simple coroot: coordinates <alpha_j, alpha_1^vee>
     coroot = a2.coroot_point((1, 0))
     neg = tuple(-c for c in coroot)
-    closed, interior = a2.in_obtuse_negative_cone(neg)
+    closed, interior = membership(a2, neg)
     assert closed and not interior  # on a wall: only one strictly negative coeff
     both_neg = tuple(-c - d for c, d in zip(coroot, a2.coroot_point((0, 1))))
-    closed, interior = a2.in_obtuse_negative_cone(both_neg)
+    closed, interior = membership(a2, both_neg)
     assert closed and interior
 
 

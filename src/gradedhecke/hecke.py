@@ -539,6 +539,8 @@ class HeckeElement:
         return self.scale(other)
 
     def scale(self, c) -> "HeckeElement":
+        if isinstance(c, (bool, float, complex)):
+            raise TypeError(f"inexact or bool scalar {c!r}: use int, Fraction or Cyc")
         if c == 0:
             return self.algebra.zero()
         return HeckeElement(self.algebra, {i: p.scale(c) for i, p in self.terms.items()})

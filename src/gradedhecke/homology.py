@@ -1,21 +1,19 @@
 """
 Koszul complexes and Ext computations over the graded algebra.
 
-Three pipelines, all exact:
-
 * `koszul_resolution` - the standard complex on the polynomial algebra in
-  the coordinates and r, with contraction differentials; d. d = 0 is
-  checked symbolically and exactness probed at exact points.
+  the coordinates and r, with contraction differentials; d . d = 0 is
+  checked symbolically and exactness probed at exact points.  It is the
+  one complex built here.
 
 * `ext_self_induced` - Ext of an induced module against itself at a
-  regular weight, computed by restricting the induced module to the
-  polynomial part.  The contraction builder of `koszul_resolution` gives
-  K (x) M with the blocks +-A_i, A_i the shifted coordinate operators, as
-  its entries; Koszul self-duality H^t(Hom(K, M)) = H_{m-t}(K (x) M) turns
-  its homology into the cochain cohomology.  The operator of r, R - r, is
-  zero on a module at r, and the Koszul complex of (A, 0) is the cone of a
-  zero map, so its cohomology is that of K(A) times (1 + t): the zero block
-  is never built.  The expected answer is binomial(d + 1, n).
+  regular weight.  Adjunction makes it the cohomology of the Koszul complex
+  of the shifted coordinate operators and R - r on the induced module.
+  That complex is exact away from the weight, so localization leaves the
+  weight space, which is one line, where every operator is zero: the
+  answer is binomial(d + 1, n), read off the module's weight multiplicity
+  with no elimination.  The full block complex on the module is a test
+  oracle.
 
 * `koszul_dual_dims` - graded dimensions of Ext against the degree-zero
   part: its free resolution has rank binomial(d + 1, n) in degree n, and
@@ -24,9 +22,9 @@ Three pipelines, all exact:
   as it stands; `verification.suite_homology` checks the vanishing through
   the straightening kernel.
 
-Scalar matrices are `linalg.Matrix` values, integer rows over one
-denominator, and all their work goes through `linalg`.  The one product of
-polynomial-entry matrices, the symbolic d . d = 0 check of
+An evaluated complex holds `linalg.Matrix` values, integer rows over one
+denominator, and `homology_dims` reads ranks through `linalg`.  The one
+product of polynomial-entry matrices, the symbolic d . d = 0 check of
 `ChainComplex.validate`, is `_poly_mat_mul` here.
 """
 
@@ -38,9 +36,9 @@ from itertools import combinations
 from math import comb
 
 from .hecke import HeckeAlgebra
-from .linalg import Matrix, block_matrix, identity, mat_scale, mat_sub, matrix, rank, \
-    zero_matrix
-from .modules import FiniteDimModule, _point, induce_from_character, is_regular
+from .linalg import Matrix, matrix, rank
+from .modules import FiniteDimModule, _point, induce_from_character, is_regular, \
+    weight_decomposition
 from .polynomials import Polynomial
 from .scalars import exact_scalar
 
@@ -130,7 +128,8 @@ def _contraction_grids(entries, zero):
 
     Level n is the n-subsets of range(m) in order; d_n sends the subset S of
     level n + 1 to sum_p (-1)^p e_{S[p]} (S without S[p]).  `entries` holds
-    (e_v, -e_v) per generator, Polynomials or blocks; other cells are `zero`.
+    (e_v, -e_v) per generator, the variables in `koszul_resolution`; other
+    cells are `zero`.
     """
     m = len(entries)
     levels = [list(combinations(range(m), n)) for n in range(m + 1)]
@@ -205,16 +204,26 @@ def koszul_dual_dims(algebra: HeckeAlgebra) -> dict[int, int]:
 
 def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
                      module: FiniteDimModule | None = None) -> ExtTable:
-    """Ext^*(ind(weight), ind(weight)) at a regular weight.
+    """Ext^*(ind(weight), ind(weight)) at a regular weight lambda.
 
     Adjunction trades the first induced argument for the polynomial algebra,
-    so the table is the cohomology of the Koszul cochain complex with the
-    shifted coordinate operators and R - r acting on the restricted induced
-    module.  R - r is zero there, and the complex of (A, 0) is K(A) (x)
-    (M <- M with the zero map), so H^t = H^t(K(A)) + H^{t-1}(K(A)): the
-    complex is built on the d coordinate operators alone.  Raises for
-    non-regular weights, where that identification breaks, and for a
-    `module` that cannot be ind(weight) (see `_check_induced`).
+    so the table is the cohomology of the Koszul complex K of the commuting
+    operators A_i = X_i - lambda_i and R - r on the module M.  That complex
+    splits along the joint generalized eigenspaces M_mu of the x action.  On
+    M_mu with mu != lambda some A_i is invertible, and multiplication by it
+    is zero on homology, so H(K; M) = H(K; M_lambda) (Eisenbud, Commutative
+    Algebra, ch. 17).  The weights of ind(lambda) are the W x| Gamma-orbit
+    of lambda (Lusztig, JAMS 1989), so at a regular weight M_lambda is one
+    line.  There every A_i is a nilpotent 1 x 1 matrix, hence zero, R - r is
+    zero, and H^t has dimension binomial(d + 1, t).
+
+    The multiplicity of lambda comes from `modules.weight_decomposition`.
+    A passed `module` is refused with ValueError when it is over an
+    incompatible algebra, has the wrong dimension or does not have e_0 =
+    N_1 (x) 1 of weight lambda (see `_check_induced`), and when lambda has
+    multiplicity other than one in it ("not induced at this weight"), as
+    in the sum of two copies of a character.  Raises for non-regular
+    weights, where the adjunction argument breaks.
     """
     point = _point(algebra, weight)
     r_value = exact_scalar(r_value)
@@ -225,12 +234,12 @@ def ext_self_induced(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
     if module is not None:
         _check_induced(algebra, point, module)
     mod = module or induce_from_character(algebra, point, r_value)
-    n = mod.dim
-    # commuting operators X_i - weight_i; R - r_value is zero, a factor (1 + t)
-    ops = [mat_sub(mod.x_matrices[i], mat_scale(identity(n), point[i]))
-           for i in range(algebra.rs.dim)]
-    dims = _koszul_cohomology_dims(ops)
-    return ExtTable(dict(enumerate(a + b for a, b in zip(dims + [0], [0] + dims))))
+    mult = sum(d.multiplicity for d in weight_decomposition(mod) if d.weight == point)
+    if mult != 1:
+        raise ValueError(f"weight {weight} has multiplicity {mult} in the module: "
+                         "the module is not induced at this weight")
+    top = algebra.rs.dim + 1
+    return ExtTable({t: comb(top, t) for t in range(top + 1)})
 
 
 def _check_induced(algebra: HeckeAlgebra, point, module: FiniteDimModule):
@@ -245,17 +254,3 @@ def _check_induced(algebra: HeckeAlgebra, point, module: FiniteDimModule):
         if x[0][0] != point[j] * x.den or any(row[0] for row in x[1:]):
             raise ValueError(f"column 0 of x{j + 1} is not {point[j]} e_0: "
                              "the module is not induced at this weight")
-
-
-def _koszul_cohomology_dims(ops) -> list[int]:
-    """dim H^t(Hom(K, M)) for t = 0..m, for m commuting `linalg.Matrix` operators on M.
-
-    K (x) M has the blocks +-ops[i] as contraction entries; its d . d has the
-    entries +-[A_i, A_j], zero as the operators commute (a module's x matrices
-    are checked to).  Self-duality reads the cohomology off its homology in reverse.
-    """
-    m, n = len(ops), len(ops[0])
-    blocks = [block_matrix(grid) for grid in
-              _contraction_grids([(a, mat_scale(a, -1)) for a in ops], zero_matrix(n, n))]
-    complex_ = ChainComplex([comb(m, t) * n for t in range(m + 1)], blocks, nvars=0)
-    return complex_.homology_dims()[::-1]

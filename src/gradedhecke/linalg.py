@@ -32,8 +32,8 @@ from .scalars import poly_trim
 
 __all__ = [
     "Matrix", "matrix", "mat_mul", "mat_add", "mat_scale", "mat_sub", "identity",
-    "zero_matrix", "transpose", "trace", "block_matrix", "mat_pow", "rref", "rank",
-    "nullspace", "coordinates", "restrict", "min_poly", "char_poly", "rational_roots",
+    "transpose", "trace", "block_matrix", "mat_pow", "rref", "rank", "nullspace",
+    "coordinates", "restrict", "min_poly", "char_poly", "rational_roots",
     "root_multiplicity", "split_space",
 ]
 
@@ -82,10 +82,6 @@ def matrix(entries) -> Matrix:
                        for row in entries], den)
     except AttributeError:
         raise TypeError("matrix entries must be ints or Fractions") from None
-
-
-def zero_matrix(n, m) -> Matrix:
-    return Matrix([[0] * m for _ in range(n)])
 
 
 def identity(n) -> Matrix:

@@ -241,8 +241,7 @@ def _require_rational(algebra: HeckeAlgebra):
 # induction from characters of the polynomial part
 # ---------------------------------------------------------------------------
 
-def induce_from_character(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
-                          validate=True) -> FiniteDimModule:
+def induce_from_character(algebra: HeckeAlgebra, weight, r_value=Fraction(1)) -> FiniteDimModule:
     """The induced module with basis {N_w (x) 1}, w in the group's order.
 
     `weight` is a point of t in coordinate values, and r acts by `r_value`.
@@ -261,7 +260,7 @@ def induce_from_character(algebra: HeckeAlgebra, weight, r_value=Fraction(1),
     mats = {key: _monomial_matrix(algebra, g, left[g.index])
             for key, g in zip(generator_keys(algebra).values(), group.generators)}
     x_mats = _x_matrices(algebra, point, r, left)
-    return FiniteDimModule(algebra, x_mats, mats, r, validate=validate)
+    return FiniteDimModule(algebra, x_mats, mats, r)
 
 
 def _monomial_matrix(algebra: HeckeAlgebra, g, left) -> Matrix:

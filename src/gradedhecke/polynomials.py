@@ -116,8 +116,8 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c):
-        if isinstance(c, (float, complex)):
-            raise TypeError(f"inexact scalar {c!r}: use int, Fraction or Cyc")
+        if isinstance(c, (bool, float, complex)):
+            raise TypeError(f"inexact or bool scalar {c!r}: use int, Fraction or Cyc")
         if c == 0:
             return Polynomial.zero(self.nvars)
         # a nonzero exact scalar times a nonzero exact coefficient is nonzero

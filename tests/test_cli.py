@@ -372,6 +372,40 @@ def test_structure_export_bytes_are_pinned(preset, tmp_path, capsys):
     assert capsys.readouterr().out.encode() == data
 
 
+# sha256 of `export --preset P --mode M ext` and the `ext --preset P --mode M` line, as
+# the elimination on the whole Koszul block complex gave them
+EXT_EXPORT_SHA256 = {
+    ("A1", "generic"): "9fbd22d41020a5150e1d8a485be30814d668403723d350b02c09360096c4bc3d",
+    ("A1", "r1"): "ca2821414517aca87521e58672cccbc260e59203e9bf9695376cc02296c238f4",
+    ("A1xA1", "generic"): "b7a8d64d19869ce38808208ffe997274b50cbcb7eb0f172cf9d27e705007ec2f",
+    ("A1xA1", "r1"): "03907913adee653ffb756d7d2d7971f597191065f41c4b0368368bd37136e432",
+    ("A1xA1swap", "generic"): "f0dd20415399cd9e6c144ccc4ed7187b31da7960fe1fd6d9eef073d364f28830",
+    ("A1xA1swap", "r1"): "03907913adee653ffb756d7d2d7971f597191065f41c4b0368368bd37136e432",
+    ("A2", "generic"): "858b5a74942dce7e3a5f5c10aff255a9cba5639e6de055b1137d4b6db8bae018",
+    ("A2", "r1"): "03907913adee653ffb756d7d2d7971f597191065f41c4b0368368bd37136e432",
+    ("A2flip", "generic"): "841652ce12a55ab028cb7226269f86b77253081b7b622a2eebe8a9f6f452605b",
+    ("A2flip", "r1"): "03907913adee653ffb756d7d2d7971f597191065f41c4b0368368bd37136e432",
+    ("A2flip-tw", "generic"): "841652ce12a55ab028cb7226269f86b77253081b7b622a2eebe8a9f6f452605b",
+    ("A2flip-tw", "r1"): "03907913adee653ffb756d7d2d7971f597191065f41c4b0368368bd37136e432",
+    ("B2", "generic"): "f0dd20415399cd9e6c144ccc4ed7187b31da7960fe1fd6d9eef073d364f28830",
+    ("B2", "r1"): "03907913adee653ffb756d7d2d7971f597191065f41c4b0368368bd37136e432",
+    ("G2", "generic"): "841652ce12a55ab028cb7226269f86b77253081b7b622a2eebe8a9f6f452605b",
+    ("G2", "r1"): "03907913adee653ffb756d7d2d7971f597191065f41c4b0368368bd37136e432",
+}
+EXT_LINE_RANK_ONE = '{"0": 1, "1": 2, "2": 1}'
+EXT_LINE_RANK_TWO = '{"0": 1, "1": 3, "2": 3, "3": 1}'
+
+
+@pytest.mark.parametrize("preset, mode", sorted(EXT_EXPORT_SHA256))
+def test_ext_outputs_are_pinned(preset, mode, capsys):
+    assert run_cli("export", "--preset", preset, "--mode", mode, "ext") == 0
+    data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == EXT_EXPORT_SHA256[preset, mode]
+    assert run_cli("ext", "--preset", preset, "--mode", mode) == 0
+    want = EXT_LINE_RANK_ONE if preset == "A1" else EXT_LINE_RANK_TWO
+    assert capsys.readouterr().out == want + "\n"
+
+
 def test_classification_export(capsys):
     assert run_cli("export", "--preset", "A1", "--k", "1", "classification") == 0
     payload = json.loads(capsys.readouterr().out)

@@ -133,6 +133,15 @@ def test_scale_iso_rejects_an_inexact_z_at_the_call(A1, z):
         A1.scale_iso(z, A1.x(0) + A1.N(0))
 
 
+def test_scale_refuses_a_bool_before_the_zero_shortcut(A1):
+    """True used to act as 1 and False as 0 on both polynomials and elements."""
+    p = Polynomial.variable(A1.nvars, 0)
+    for call in (lambda: p * True, lambda: p.scale(False),
+                 lambda: A1.x(0) * True, lambda: A1.x(0) * False):
+        with pytest.raises(TypeError, match="bool scalar"):
+            call()
+
+
 def test_scale_iso_takes_an_exact_z_as_given(A1):
     a = A1.x(0) * A1.N(0) + A1.r()
     images = [A1.scale_iso(z, a) for z in (2, Fraction(2), "2")]

@@ -6,11 +6,11 @@ from math import comb
 
 import pytest
 
-from gradedhecke.homology import _contraction_grids, _koszul_cohomology_dims, _poly_mat_mul, \
+from gradedhecke.homology import ChainComplex, _contraction_grids, _poly_mat_mul, \
     ext_self_induced, generic_point_exactness, koszul_dual_dims, koszul_resolution, \
     projective_resolution_H0
-from gradedhecke.linalg import block_matrix, identity, mat_add, mat_mul, mat_scale, mat_sub, \
-    matrix, rank, zero_matrix
+from gradedhecke.linalg import Matrix, block_matrix, identity, mat_add, mat_mul, mat_scale, \
+    mat_sub, matrix, rank
 from gradedhecke.modules import FiniteDimModule, induce_from_character, is_regular
 from gradedhecke.polynomials import Polynomial
 from gradedhecke.presets import PRESETS, build_preset
@@ -111,11 +111,43 @@ def cochain_dims_oracle(ops):
             for t in range(m + 1)]
 
 
+def _zero(n):
+    return Matrix([[0] * n for _ in range(n)])
+
+
+def _block_differentials(ops):
+    """The differentials of K (x) M for commuting `linalg.Matrix` operators on M:
+    the contraction grids of `koszul_resolution` with the blocks +-ops[i] as entries."""
+    grids = _contraction_grids([(a, mat_scale(a, -1)) for a in ops], _zero(len(ops[0])))
+    return [block_matrix(grid) for grid in grids]
+
+
+def block_complex_dims(ops):
+    """dim H^t(Hom(K, M)) for t = 0..m, by elimination on the whole block complex.
+
+    K (x) M has the blocks +-ops[i] as contraction entries; its d . d has the
+    entries +-[A_i, A_j], zero as the operators commute.  Self-duality reads
+    the cohomology off its homology in reverse.  This is the complex on the
+    whole module that `ext_self_induced` localizes to one weight space.
+    """
+    m, n = len(ops), len(ops[0])
+    complex_ = ChainComplex([comb(m, t) * n for t in range(m + 1)],
+                            _block_differentials(ops), nvars=0)
+    return complex_.homology_dims()[::-1]
+
+
+def _shifted_ops(module, lam):
+    """X_i - lam_i on the module, then R - r = 0 as the last operator."""
+    n = module.dim
+    ops = [mat_sub(x, mat_scale(identity(n), c)) for x, c in zip(module.x_matrices, lam)]
+    return ops + [_zero(n)]
+
+
 def test_koszul_builder_matches_cochain_oracle_on_an_asymmetric_row():
     e12 = matrix([[Fraction(int((a, b) == (0, 1))) for b in range(3)] for a in range(3)])
     e13 = matrix([[Fraction(int((a, b) == (0, 2))) for b in range(3)] for a in range(3)])
     assert cochain_dims_oracle([e12, e13]) == [1, 3, 2]
-    assert _koszul_cohomology_dims([e12, e13]) == [1, 3, 2]
+    assert block_complex_dims([e12, e13]) == [1, 3, 2]
 
 
 def test_koszul_builder_matches_cochain_oracle_on_random_commuting_ops():
@@ -128,44 +160,34 @@ def test_koszul_builder_matches_cochain_oracle_on_random_commuting_ops():
         ops = []
         for _ in range(rng.randint(1, 3)):
             if case % 2:
-                op = zero_matrix(n, n)
+                op = _zero(n)
                 for p in (identity(n), base, mat_mul(base, base)):
                     op = mat_add(op, mat_scale(p, Fraction(rng.randint(-2, 2))))
             else:
                 op = matrix([[0] + [Fraction(rng.randint(-2, 2)) for _ in range(n - 1)]]
                             + [[0] * n for _ in range(n - 1)])
             ops.append(op)
-        assert _koszul_cohomology_dims(ops) == cochain_dims_oracle(ops)
-
-
-def _block_differentials(ops):
-    """The block differentials of K (x) M, built as `_koszul_cohomology_dims` builds them."""
-    n = len(ops[0])
-    grids = _contraction_grids([(a, mat_scale(a, -1)) for a in ops], zero_matrix(n, n))
-    return [block_matrix(grid) for grid in grids]
+        assert block_complex_dims(ops) == cochain_dims_oracle(ops)
 
 
 @pytest.mark.parametrize("name, lam", [("A1", (3,)), ("B2", (1, 3)), ("G2", (1, 4)),
                                        ("A2flip-tw", (1, 4))])
 def test_block_differentials_square_to_zero_on_ext_operators(name, lam):
-    """The d . d product the Ext path does not form, as an oracle: on the shifted
-    x operators of an induced module it vanishes, and the dimensions match the
-    cochain oracle."""
+    """On the shifted x operators of an induced module and the zero R - r block,
+    the block complex's d . d vanishes and its dimensions match the cochain oracle."""
     H = build_preset(name, mode="r1")
-    mod = induce_from_character(H, lam)
-    n = mod.dim
-    ops = [mat_sub(x, mat_scale(identity(n), c)) for x, c in zip(mod.x_matrices, lam)]
-    ops.append(zero_matrix(n, n))
+    ops = _shifted_ops(induce_from_character(H, lam), lam)
     blocks = _block_differentials(ops)
     for a, b in zip(blocks, blocks[1:]):
         assert not any(any(row) for row in mat_mul(a, b))
-    assert _koszul_cohomology_dims(ops) == cochain_dims_oracle(ops)
+    assert block_complex_dims(ops) == cochain_dims_oracle(ops)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_ext_without_the_zero_r_block_matches_the_full_complex(name):
-    """ext_self_induced builds the complex on the d shifted x operators and
-    multiplies by (1 + t); the oracle keeps R - r = 0 as an operator block."""
+    """ext_self_induced reads the table off the weight space of lambda; the
+    oracle eliminates on the block complex of the whole induced module,
+    with R - r = 0 kept as an operator block."""
     H = build_preset(name, mode="r1")
     rng = random.Random(zlib.crc32(f"ext-zero-block-{name}".encode()))
     found = 0
@@ -175,13 +197,45 @@ def test_ext_without_the_zero_r_block_matches_the_full_complex(name):
             continue
         found += 1
         mod = induce_from_character(H, lam)
-        n = mod.dim
-        ops = [mat_sub(x, mat_scale(identity(n), c)) for x, c in zip(mod.x_matrices, lam)]
-        full = _koszul_cohomology_dims(ops + [zero_matrix(n, n)])
+        full = block_complex_dims(_shifted_ops(mod, lam))
         table = ext_self_induced(H, lam, module=mod)
         assert [table.dims[t] for t in range(H.rs.dim + 2)] == full
         assert sorted(table.dims) == list(range(H.rs.dim + 2))
         assert full == [comb(H.rs.dim + 1, t) for t in range(H.rs.dim + 2)]
+        assert ext_self_induced(H, lam).dims == table.dims
+
+
+@pytest.mark.parametrize("name, lam", [("B2", (1, 3)), ("G2", (1, 4)), ("A2flip", (1, 4))])
+def test_ext_of_a_non_triangular_module_matches_the_block_complex(name, lam):
+    """Conjugating ind(lambda) by an elementary matrix that fixes e_0 keeps it
+    induced at lambda but breaks the triangular x matrices, so the weight
+    multiplicity comes from `_split_weights`."""
+    H = build_preset(name, mode="r1")
+    mod = induce_from_character(H, lam)
+    n = mod.dim
+    e = matrix([[int(a == b) + int((a, b) == (n - 1, 1)) for b in range(n)] for a in range(n)])
+    e_inv = matrix([[int(a == b) - int((a, b) == (n - 1, 1)) for b in range(n)]
+                    for a in range(n)])
+
+    def conj(m):
+        return mat_mul(mat_mul(e, m), e_inv)
+
+    moved = FiniteDimModule(H, [conj(x) for x in mod.x_matrices],
+                            {key: conj(m) for key, m in mod.generator_matrices.items()})
+    assert any(any(row[:i]) for x in moved.x_matrices for i, row in enumerate(x))
+    table = ext_self_induced(H, lam, module=moved)
+    assert table.as_tuple() == tuple(block_complex_dims(_shifted_ops(moved, lam)))
+
+
+def test_ext_refuses_a_module_with_the_weight_twice():
+    """The trivial character of A1 twice passes the induced-module checks, but
+    lambda has multiplicity two in it; the whole-module complex gives (2, 4, 2),
+    which is not Ext(ind(lambda), ind(lambda)) = (1, 2, 1)."""
+    H = build_preset("A1", mode="r1")
+    twice = FiniteDimModule(H, [[[1, 0], [0, 1]]], {("s", 0): [[1, 0], [0, 1]]})
+    assert block_complex_dims(_shifted_ops(twice, (1,))) == [2, 4, 2]
+    with pytest.raises(ValueError, match="multiplicity 2.*not induced at this weight"):
+        ext_self_induced(H, (1,), module=twice)
 
 
 def test_block_d_squared_is_the_commutator():
@@ -190,7 +244,7 @@ def test_block_d_squared_is_the_commutator():
     b = matrix([[0, 0], [1, 0]])
     d0, d1 = _block_differentials([a, b])
     assert mat_mul(d0, d1) == mat_sub(mat_mul(b, a), mat_mul(a, b))
-    assert mat_mul(d0, d1) != zero_matrix(2, 2)
+    assert mat_mul(d0, d1) != _zero(2)
 
 
 def test_ext_rejects_a_module_that_is_not_the_induced_one():

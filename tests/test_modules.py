@@ -12,8 +12,7 @@ from gradedhecke import modules
 from gradedhecke.groupalgebra import TwistedGroupAlgebra
 from gradedhecke.hecke import HeckeAlgebra
 from gradedhecke.homology import ext_self_induced
-from gradedhecke.linalg import identity, mat_add, mat_mul, mat_scale, mat_sub, matrix, \
-    zero_matrix
+from gradedhecke.linalg import Matrix, identity, mat_add, mat_mul, mat_scale, mat_sub, matrix
 from gradedhecke.modules import FiniteDimModule, action_matrix, classify_rank_one, \
     induce_from_character, is_essentially_discrete_series, is_regular, is_tempered, \
     restrict_to_group_algebra, weight_decomposition, weight_multiset_oracle, \
@@ -127,7 +126,7 @@ def _exchange_oracle(module):
     x = module.x_matrices
 
     def linear(poly):
-        out = zero_matrix(n, n)
+        out = Matrix([[0] * n for _ in range(n)])
         for e, c in poly.terms.items():
             if sum(e) == 0:
                 base = identity(n)
@@ -180,7 +179,7 @@ def test_exchange_check_matches_the_braid_and_gamma_oracle(name):
     caught = 0
     for algebra, r in cases:
         lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(algebra.rs.dim))
-        mod = induce_from_character(algebra, lam, r, validate=False)
+        mod = induce_from_character(algebra, lam, r)
         assert mod.validate() == [] and _exchange_oracle(mod) == []
         for key in list(range(algebra.rs.dim)) + sorted(mod.generator_matrices):
             for _ in range(3):
@@ -256,7 +255,7 @@ def test_group_law_presentation_accepts_every_induced_module(name):
     rng = random.Random(zlib.crc32(f"group-law-{name}".encode()))
     for algebra, r in _three_modes(name):
         lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(algebra.rs.dim))
-        mod = induce_from_character(algebra, lam, r, validate=False)
+        mod = induce_from_character(algebra, lam, r)
         assert mod.validate() == [] and _group_law_oracle(mod) == []
 
 
@@ -270,7 +269,7 @@ def test_group_law_presentation_matches_the_full_loop_on_perturbations(name, dat
     accept and reject the same modules."""
     algebra, r = data.draw(st.sampled_from(_three_modes(name)))
     lam = tuple(data.draw(st.fractions(-9, 9, max_denominator=3)) for _ in range(algebra.rs.dim))
-    mod = induce_from_character(algebra, lam, r, validate=False)
+    mod = induce_from_character(algebra, lam, r)
     key = data.draw(st.sampled_from(sorted(mod.generator_matrices)))
     gens = mod.generators
     kind = data.draw(st.sampled_from(["entry", "negate", "conjugate"]))
@@ -530,7 +529,7 @@ def test_group_matrices_match_the_word_products(name):
     """Each N_w is its cached prefix's matrix times one generator: the word product."""
     H = build_preset(name, mode="r1")
     lam = tuple(Fraction(2 * i + 3, i + 1) for i in range(H.rs.dim))
-    mod = induce_from_character(H, lam, validate=False)
+    mod = induce_from_character(H, lam)
     for w in H.group.elements:
         assert mod.group_matrix(w) == _word_product_oracle(mod, w)
         if w.word:

@@ -68,6 +68,21 @@ def test_type_error_inside_a_suite_propagates(monkeypatch):
     assert calls == [3]
 
 
+def test_homology_suite_reports_an_ext_refusal_as_a_failure(monkeypatch):
+    """Ext is the binomial row or a ValueError; the suite turns the error into
+    a failed result with the weight as witness."""
+    from gradedhecke import verification
+
+    def refuse(algebra, weight):
+        raise ValueError("the module is not induced at this weight")
+
+    monkeypatch.setattr(verification, "ext_self_induced", refuse)
+    (result,) = run_verification(build_preset("A1", mode="r1"), seed=0, suites=["homology"])
+    assert not result.passed
+    assert result.detail.startswith("Ext at (")
+    assert result.detail.endswith("): the module is not induced at this weight")
+
+
 def test_random_draws_pinned():
     # the suites and acceptance criterion 1 depend on this exact draw order
     b2 = build_preset("B2")

@@ -18,6 +18,7 @@ import json
 import operator
 import sys
 from fractions import Fraction
+from math import comb
 
 from .expressions import ExpressionError, parse_element
 from .hecke import HeckeAlgebra
@@ -26,13 +27,15 @@ from .lie import CuspidalSupportDescriptor, RootGradedLieAlgebra, build_sl, buil
     build_sp, compute_parameters, f4_ratio_admissible, support_weyl_data
 from .modules import FiniteDimModule, classify_rank_one, generator_keys, \
     weight_decomposition, zeta_rank_one
-from .polynomials import Polynomial
 from .presets import PRESETS, build_preset, load_algebra_file, parse_cocycle, parse_scalar, \
     parse_table
 from .scalars import divide_scalar, scalar_str
 from .verification import ALL_SUITES, run_verification
 
 __all__ = ["main"]
+
+# the most products a structure export writes: (|W x| Gamma| * monomials)^2
+STRUCTURE_ENTRY_CAP = 200_000
 
 
 def _algebra_from_args(args) -> HeckeAlgebra:
@@ -249,20 +252,23 @@ def _structure_json(algebra: HeckeAlgebra, degree_cap: int) -> str:
     The text is `json.dumps(table, sort_keys=True, separators=(",", ":"))`
     of the table {"basis": [[label, exponents]], "products": [{"i", "j",
     "terms": [[label, exponents, coefficient string]]}]}, with labels and
-    coefficient strings encoded by `json.dumps`; no dict tree is built.
+    coefficient strings encoded by `json.dumps`; no dict tree is built.  A
+    table of more than `STRUCTURE_ENTRY_CAP` products is refused with
+    ValueError before any straightening.
 
     The table is bilinear.  With {t: q_t} the result of moving x^a through
-    N_v (`_move_poly`, its numerators divided by its denominator),
+    N_v (its numerators divided by its denominator),
 
-        (N_u x^a)(N_v x^b) = sum_t c(u, v) N_{u t} q_t x^b,
+        (N_u x^a)(N_v x^b) = sum_t c(u, v) N_{u t} q_t x^b.
 
-    so x^a is moved through N_v once per (a, v), and each product needs one
-    group product, one cocycle value and an exponent shift by b per t.
-    Nothing needs merging: the twist c(u, v) depends only on the Gamma
-    parts, so one value serves every t, and distinct t give distinct u t.
-    A shift by b keeps exponents in lexicographic order, so the terms of
-    each q_t are sorted and their coefficients encoded once per (a, v,
-    twist), and the text of each term after its label once per b.
+    The moves come from `_prefix_states`, one exchange letter per (a, v),
+    and the u t from `left_row(u)`, one row per u.  Nothing needs merging:
+    the twist c(u, v) depends only on the Gamma parts, so one value serves
+    every t, and distinct t give distinct u t.  A shift by b keeps exponents
+    in lexicographic order, so the terms of each q_t are sorted and their
+    coefficients encoded once per (a, v, twist), each shifted exponent once
+    per distinct exponent, and the text of each term after its label once
+    per b.
     """
     from itertools import product as iproduct
 
@@ -270,55 +276,78 @@ def _structure_json(algebra: HeckeAlgebra, degree_cap: int) -> str:
         raise ValueError("degree cap must be at least 0")
     nv = algebra.nvars
     max_var = nv if algebra.mode != "r1" else nv - 1
+    group = algebra.group
+    size = len(group) * comb(degree_cap + max_var, max_var)
+    if size * size > STRUCTURE_ENTRY_CAP:
+        raise ValueError(f"the structure table at degree cap {degree_cap} has "
+                         f"{size * size} entries, over the cap of {STRUCTURE_ENTRY_CAP}")
     monomials = []
     for expo in iproduct(range(degree_cap + 1), repeat=max_var):
         if sum(expo) <= degree_cap:
             monomials.append(tuple(expo) + (0,) * (nv - max_var))
     monomials.sort()
-    group = algebra.group
     elements = group.elements
     labels = [json.dumps(_word_label(algebra, w)) for w in elements]
     # the terms of N_w q x^b are "[" + label + tail for each tail, joined by ","
     opens = ["[" + label for label in labels]
     seps = [",[" + label for label in labels]
-    basis = [(w, e) for w in elements for e in monomials]
-    # (a, v.index) -> [(t, sorted terms of q_t)], every move the table needs
+    # (a, v.index) -> [(t.index, sorted terms of q_t)], along the prefix tree
     moves = {}
     for a in monomials:
-        for v in elements:
-            den, moved = algebra._move_poly(Polynomial(nv, {a: Fraction(1)}), v)
-            moves[a, v.index] = [(elements[ti], sorted((e, divide_scalar(n, den))
-                                                       for e, n in q.items()))
-                                 for ti, q in moved.items()]
-    # (a, v.index, u.gamma) -> [(t, per b the tails of the terms of c(u, v) q_t x^b)]
+        for vi, (den, moved) in enumerate(_prefix_states(algebra, a)):
+            moves[a, vi] = [(ti, sorted((e, divide_scalar(n, den)) for e, n in q.items()))
+                            for ti, q in moved.items() if q]
+    # exponent e -> per b the text ",e+b," of a term's shifted exponent
+    shifted: dict[tuple, list[str]] = {}
+    # (a, v.index, u.gamma) -> [(t.index, per b the tails of the terms of c(u, v) q_t x^b)]
     tails: dict[tuple, list] = {}
+    m = len(monomials)
     entries = []
-    for i, (u, a) in enumerate(basis):
-        head = f'{{"i":{i},"j":'
-        j = 0
-        for v in elements:
-            pieces = tails.get((a, v.index, u.gamma))
-            if pieces is None:
-                twist = algebra.cocycle.value(u, v)
-                pieces = [] if twist == 0 else [
-                    (t, _term_tails(terms, twist, monomials))
-                    for t, terms in moves[a, v.index]]
-                tails[a, v.index, u.gamma] = pieces
-            runs = [(opens[wi], seps[wi], per_b) for wi, per_b in
-                    sorted((group.multiply(u, t).index, per_b) for t, per_b in pieces)]
-            for bi in range(len(monomials)):
-                terms = ",".join(o + sep.join(per_b[bi]) for o, sep, per_b in runs)
-                entries.append(f'{head}{j},"terms":[{terms}]}}')
-                j += 1
-    basis_text = ",".join(f"[{labels[w.index]},{_json_ints(e)}]" for w, e in basis)
+    i = 0
+    for u in elements:
+        row = group.left_row(u)
+        for a in monomials:
+            head = f'{{"i":{i},"j":'
+            i += 1
+            for v in elements:
+                pieces = tails.get((a, v.index, u.gamma))
+                if pieces is None:
+                    twist = algebra.cocycle.value(u, v)
+                    pieces = [] if twist == 0 else [
+                        (ti, _term_tails(terms, twist, monomials, shifted))
+                        for ti, terms in moves[a, v.index]]
+                    tails[a, v.index, u.gamma] = pieces
+                # one run of terms per u t, in the group's order; per b, one entry
+                runs = [[opens[wi] + seps[wi].join(per) for per in per_b]
+                        for wi, per_b in sorted((row[ti], per_b) for ti, per_b in pieces)]
+                entries.extend(f'{head}{j},"terms":[{",".join(texts)}]}}'
+                               for j, texts in enumerate(zip(*runs) if runs else [()] * m,
+                                                         v.index * m))
+    basis_text = ",".join(f"[{label},{_json_ints(e)}]" for label in labels for e in monomials)
     return f'{{"basis":[{basis_text}],"products":[{",".join(entries)}]}}'
 
 
-def _term_tails(terms, twist, monomials) -> list[list[str]]:
-    """Per shift b, the text after the label of each term of twist * q x^b."""
-    encoded = [(e, json.dumps(scalar_str(c if twist == 1 else twist * c))) for e, c in terms]
-    return [[f",{_json_ints(map(operator.add, e, b))},{coefficient}]"
-             for e, coefficient in encoded] for b in monomials]
+def _prefix_states(algebra: HeckeAlgebra, a: tuple) -> list[tuple[int, dict]]:
+    """x^a N_v for every v, in the group's order, as the (den, state) of
+    `_move_word`: each v's state is its prefix's state moved through one
+    generator, the state `_move_poly(x^a, v)` reaches letter by letter."""
+    states = [(1, {algebra.group.identity.index: {a: 1}})]
+    for parent, j in algebra.group._prefix[1:]:
+        states.append(algebra._move_word(*states[parent], (j,)))
+    return states
+
+
+def _term_tails(terms, twist, monomials, shifted) -> list[list[str]]:
+    """Per shift b, the text after the label of each term of twist * q x^b;
+    `shifted` caches, per exponent e, the texts of e + b over b."""
+    encoded = []
+    for e, c in terms:
+        texts = shifted.get(e)
+        if texts is None:
+            texts = shifted[e] = [f",{_json_ints(map(operator.add, e, b))}," for b in monomials]
+        encoded.append((texts, json.dumps(scalar_str(c if twist == 1 else twist * c)) + "]"))
+    return [[texts[bi] + coefficient for texts, coefficient in encoded]
+            for bi in range(len(monomials))]
 
 
 def _json_ints(values) -> str:

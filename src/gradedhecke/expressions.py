@@ -11,8 +11,9 @@ The element expression grammar used by the command line.
 
 Variables are x1..xd and r; for rank one, `x` and `s` are accepted as
 aliases for x1 and s1.  FUNC is IM or sgn.  Parse errors carry the
-character position.  A power is formed by square-and-multiply, and `a ^ m`
-is an error when m times the degree of a in x1..xd and r (a constant
+character position.  A power is formed by repeated left multiplication,
+or by square-and-multiply when the base has one term (see `_power`), and
+`a ^ m` is an error when m times the degree of a in x1..xd and r (a constant
 counting as degree 1) passes `POWER_DEGREE_CAP`.
 """
 
@@ -114,7 +115,7 @@ class _Parser:
                     or int(text) * degree > POWER_DEGREE_CAP):
                 raise ExpressionError(f"power too large: the exponent times the base's "
                                       f"degree ({degree}) passes {POWER_DEGREE_CAP}", pos)
-            return _power(self.algebra.one(), base, int(text))
+            return _power(base, int(text))
         return base
 
     def atom(self) -> HeckeElement:
@@ -196,14 +197,25 @@ class _Parser:
             self.next()
 
 
-def _power(out: HeckeElement, base: HeckeElement, m: int) -> HeckeElement:
-    """out * base^m by square-and-multiply: powers of one element commute."""
-    while m:
-        if m & 1:
-            out = out * base
-        m >>= 1
-        if m:
-            base = base * base
+def _power(base: HeckeElement, m: int) -> HeckeElement:
+    """base^m as m products base * out, powers of one element commuting.
+
+    Straightening moves each polynomial of the left factor through each N_v
+    of the right one, so the small base goes on the left; squaring would
+    make both factors large (Fateman, Stud. Appl. Math. 1974).  A base of
+    one term N_w c x^a is squared: m cheap products cost more than log m.
+    """
+    out = base.algebra.one()
+    if len(base.terms) == 1 and len(next(iter(base.terms.values())).terms) == 1:
+        while m:
+            if m & 1:
+                out = out * base
+            m >>= 1
+            if m:
+                base = base * base
+        return out
+    for _ in range(m):
+        out = base * out
     return out
 
 

@@ -15,10 +15,13 @@ different reduced words give the same product is a tested property.
 The exchange step is linear in p, so it is memoized per monomial: each
 instance keeps a private dict from (exponent tuple, generator index) to the
 moved monomial and its correction as numerators over one denominator,
-filled lazily on first use.  A product runs on numerators over one common
-denominator, in the same loops on rational and on cyclotomic data: ints, or
-`Cyc`s whose integer numerator tuples sit over denominator 1, so their sums
-and products take no gcd.  It forms one `Fraction` (or one `Cyc`) per
+filled lazily on first use.  `_move_word` moves a state sum_u N_u q_u
+through a word of generators with these steps, one letter at a time:
+`_move_poly` calls it once along the whole word of v, and the structure
+export once per group element, from the state of its prefix.  A product
+runs on numerators over one common denominator, in the same loops on
+rational and on cyclotomic data: ints, or `Cyc`s whose integer numerator
+tuples sit over denominator 1, so their sums and products take no gcd.  It forms one `Fraction` (or one `Cyc`) per
 output coefficient at the end.  The memo depends on k and the mode, so it
 lives on the instance and is never shared: `with_k` and `crossed_product`
 build new instances, which start with an empty memo.
@@ -185,20 +188,28 @@ class HeckeAlgebra:
 
     def _move_poly(self, p: Polynomial, v: GroupElement) -> tuple[int, dict[int, dict]]:
         """Rewrite p * N_v as sum_u N_u q_u; returns (den, {u.index: numerators
-        of q_u over den}).
-
-        The exchange step is linear in p, so each letter of v moves p one
-        monomial at a time, looked up in the memo and computed by `_step`
-        only on a miss.  Each letter rescales by the lcm of the step
-        denominators it meets.
+        of q_u over den}), moving p through the letters of v by `_move_word`.
         """
         den, terms = _numerators(p.terms)
         if v.is_identity():
             return den, ({v.index: terms} if terms else {})
+        letters = v.word + ((self.rs.rank + v.gamma,) if v.gamma else ())
+        den, state = self._move_word(den, {self.group.identity.index: terms}, letters)
+        return den, {ui: t for ui, t in state.items() if t}
+
+    def _move_word(self, den: int, state: dict[int, dict], letters) -> tuple[int, dict[int, dict]]:
+        """Move sum_u N_u q_u (numerators over den) right through the
+        generators `letters`, in the column convention of the group's table
+        (j < rank for s_j, rank + gamma for a Gamma element); returns (den,
+        state) with possibly empty numerator dicts.  `state` is not modified.
+
+        The exchange step is linear, so each letter moves the state one
+        monomial at a time, looked up in the memo and computed by `_step`
+        only on a miss.  Each letter rescales by the lcm of the step
+        denominators it meets.
+        """
         times = self.group._times
         steps = self._steps
-        letters = v.word + ((self.rs.rank + v.gamma,) if v.gamma else ())
-        state = {self.group.identity.index: terms}
         for j in letters:
             new: dict[int, dict] = {}
             scale = 1
@@ -215,7 +226,7 @@ class HeckeAlgebra:
                         _accumulate(new.setdefault(ui, {}), [(f, c * m) for f, m in corr])
             state = new
             den *= scale
-        return den, {ui: t for ui, t in state.items() if t}
+        return den, state
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement") -> "HeckeElement":
         """a * b on numerators over one running lcm denominator, divided out

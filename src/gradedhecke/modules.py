@@ -125,10 +125,11 @@ class FiniteDimModule:
         return self.action(w).fractions()
 
     def action(self, w):
-        """The Matrix of N_w, built once as its cached prefix's matrix times one generator.
+        """The Matrix of N_w, built once as its prefix's matrix times one generator.
 
-        Cached reduced words are prefix-closed, so this is the product of the
-        generator matrices along w.word, then the Gamma generator.
+        The group's prefix table gives w = p * generator j (see
+        `ExtendedWeylGroup`), so this is the product of the generator
+        matrices along w.word, then the Gamma generator.
         """
         m = self._actions.get(w.index)
         if m is None:
@@ -136,13 +137,10 @@ class FiniteDimModule:
             if w.is_identity():
                 m = identity(self.dim)
             else:
-                if w.gamma:
-                    prefix = group.word_element(w.word)
-                    gen = self.generator_matrices[("g", w.gamma)]
-                else:
-                    prefix = group.word_element(w.word[:-1])
-                    gen = self.generator_matrices[("s", w.word[-1])]
-                m = gen if prefix.is_identity() else mat_mul(self.action(prefix), gen)
+                parent, j = group._prefix[w.index]
+                rank = self.algebra.rs.rank
+                gen = self.generator_matrices[("s", j) if j < rank else ("g", j - rank)]
+                m = gen if parent == 0 else mat_mul(self.action(group.elements[parent]), gen)
             self._actions[w.index] = m
         return m
 
@@ -255,8 +253,7 @@ def induce_from_character(algebra: HeckeAlgebra, weight, r_value=Fraction(1)) ->
     r = exact_scalar(r_value)
     group = algebra.group
     # left[g][w] = index of g w
-    left = {g.index: [group.multiply(g, w).index for w in group.elements]
-            for g in group.generators}
+    left = {g.index: group.left_row(g) for g in group.generators}
     mats = {key: _monomial_matrix(algebra, g, left[g.index])
             for key, g in zip(generator_keys(algebra).values(), group.generators)}
     x_mats = _x_matrices(algebra, point, r, left)

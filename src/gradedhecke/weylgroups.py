@@ -14,6 +14,11 @@ multiplied, during the build or after it.  Each element's action matrix on
 a^vee (its key) is read off its permutation: column j holds the
 coordinates of u(alpha_j), and the central block is the identity.  The key
 serves the actions on points and polynomials and `from_key`.
+
+The cached words are prefix-closed, so enumeration also keeps each
+element's prefix and last generator (`_prefix`): walking that tree in the
+group's order builds a row of left products (`left_row`), the module
+matrices of N_w and the structure export one generator at a time.
 """
 
 from __future__ import annotations
@@ -158,6 +163,11 @@ class ExtendedWeylGroup:
         self._times = [[position[tuple(perm[c] for c in g)] for g in gens]
                        for perm in self._root_perm]
         self._inverses = [self.elements[position[_perm_inverse(perm)]] for perm in self._root_perm]
+        # _prefix[t.index] = (p.index, j) with t = p * generator j, j a column of
+        # _times; words are sorted by length, so p comes before t
+        at = {(word, gi): pos for pos, (_, word, gi, _) in enumerate(items)}
+        self._prefix = [None] + [(at[word, 0], rank + gi) if gi else (at[word[:-1], 0], word[-1])
+                                 for _, word, gi, _ in items[1:]]
         # every root of a reduced system is some u(alpha_i); s_beta = u s_i u^-1
         self._reflections = {}
         for u, perm in zip(self.elements, self._root_perm):
@@ -195,6 +205,18 @@ class ExtendedWeylGroup:
 
     def multiply(self, u: GroupElement, v: GroupElement) -> GroupElement:
         return self._walk(v.word, v.gamma, u.index)
+
+    def left_row(self, u: GroupElement) -> list[int]:
+        """The indices of u t for every t, in the group's order.
+
+        Each u t is (u p) * generator j for t's prefix (p, j), so the row
+        costs one table lookup per element.
+        """
+        times = self._times
+        row = [u.index]
+        for parent, j in self._prefix[1:]:
+            row.append(times[row[parent]][j])
+        return row
 
     def inverse(self, u: GroupElement) -> GroupElement:
         return self._inverses[u.index]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from gradedhecke.cli import _parser, _structure_json, main
 from gradedhecke.expressions import POWER_DEGREE_CAP
-from gradedhecke.presets import algebra_from_config, build_preset
+from gradedhecke.presets import PRESETS, algebra_from_config, build_preset
 from gradedhecke.verification import ALL_SUITES, SuiteResult
 
 
@@ -372,6 +373,180 @@ def test_structure_export_bytes_are_pinned(preset, tmp_path, capsys):
     assert capsys.readouterr().out.encode() == data
 
 
+def _structure_algebra(preset, mode):
+    """The preset in generic or r1 mode, or the crossed product of its generic algebra."""
+    if mode == "k0":
+        return build_preset(preset).crossed_product()
+    return build_preset(preset, mode=mode)
+
+
+# sha256 of `_structure_json` for every preset in every mode at degree caps 0, 1 and 2,
+# as the letter-by-letter writer (one `_move_poly` per (monomial, v)) gave them
+STRUCTURE_JSON_SHA256 = {
+    ("A1", "generic", 0): "a11f5ab5bf989d4d9a2981eee8a4b57dd1244ff3b9682f8261fc7780e440fe38",
+    ("A1", "generic", 1): "1c6e8509ca0faa0c5545f6d99b10a7ed5890bcac2db887b5ca05a731636056b4",
+    ("A1", "generic", 2): "355f155c9476bf942665b83b6bd51c6135c150e78ba79025531f918a60ec051f",
+    ("A1", "r1", 0): "a11f5ab5bf989d4d9a2981eee8a4b57dd1244ff3b9682f8261fc7780e440fe38",
+    ("A1", "r1", 1): "743fb5a21a379e81763688b907455d95907c6624b56112e162b6d69aa6fc61b9",
+    ("A1", "r1", 2): "03aa3320c4fb81a86386ee61a53c26121d1ef30e2d089fe7cf7e7b947745289b",
+    ("A1", "k0", 0): "a11f5ab5bf989d4d9a2981eee8a4b57dd1244ff3b9682f8261fc7780e440fe38",
+    ("A1", "k0", 1): "ca164b36cb902c2f6f25368722ed5567de0af76ceadfa37f961b9d6f3c8991b2",
+    ("A1", "k0", 2): "8a2fff59b8d682106fdb47e9437a6bac8c9de8614fa4db2209910eb8fff81e28",
+    ("A1xA1", "generic", 0): "76e95fc937b8d172407180bac7403cc8e401ef4eee493a8132fbd3016a42b891",
+    ("A1xA1", "generic", 1): "5f747c5eb83949c8782ed644f2c7c8e55c00b4937b7e22e4cf92a62e83989e1f",
+    ("A1xA1", "generic", 2): "607a55dfb3994f295fd915968c8a2b991d0fddd7224fd2773ae683328841a698",
+    ("A1xA1", "r1", 0): "76e95fc937b8d172407180bac7403cc8e401ef4eee493a8132fbd3016a42b891",
+    ("A1xA1", "r1", 1): "1994f82e653d8ac81d7ac6d7d6bed0ed556ad40aae17d184151f486e2ae5adf8",
+    ("A1xA1", "r1", 2): "49f405dfc099b867b7e9e26b30293653f081f07f6da8af88d8ab57533d5a8728",
+    ("A1xA1", "k0", 0): "76e95fc937b8d172407180bac7403cc8e401ef4eee493a8132fbd3016a42b891",
+    ("A1xA1", "k0", 1): "1ae5f1bc36d270be92028ae4ccf4f9724e4cdde8b6cbed124154ac2a77f5fb7b",
+    ("A1xA1", "k0", 2): "81d57037174e325513ee7637cc212b11d58f2ca28c7c9f4dbaa6b1b70010c96c",
+    ("A1xA1swap", "generic", 0): "5f88f2c7ca534f4686f9885cd78d7bea600fd0e78841bff24a00aa792c1b64b4",
+    ("A1xA1swap", "generic", 1): "a0fe9e03e408cb98ab0cb4362bcd8251992775ea7228ea0a7c94f5b6a861c7f5",
+    ("A1xA1swap", "generic", 2): "918c56ff209104e6ccbcdf9cbc16b9c0ba34aebfda32ce3f3620a8d634064f0d",
+    ("A1xA1swap", "r1", 0): "5f88f2c7ca534f4686f9885cd78d7bea600fd0e78841bff24a00aa792c1b64b4",
+    ("A1xA1swap", "r1", 1): "c85e7b48359da4ebb37c4a585ef7924304a9f37425796d920faf032e6da6968d",
+    ("A1xA1swap", "r1", 2): "7b0914dc7e4c1648dd2ba17cb3b16a1ac3c3150b8448b4c9bb13367e74d003e0",
+    ("A1xA1swap", "k0", 0): "5f88f2c7ca534f4686f9885cd78d7bea600fd0e78841bff24a00aa792c1b64b4",
+    ("A1xA1swap", "k0", 1): "43ab8cbdd8fcd3cdabacd817ec56e9b02516687620dd1ae448f1de8ad5a3628d",
+    ("A1xA1swap", "k0", 2): "c32af7f86a6092004e4b0808c531a84b2e4718b85eaae1ed76b7c83d6346b227",
+    ("A2", "generic", 0): "178bbdcd5b60a5898a64b08633ab8fb70c58ec6609dbb0235dd01b0b973a7b50",
+    ("A2", "generic", 1): "9337cf6f0e971f29a41325c3e863a29181fc624ecedbfe18e413893277b6b827",
+    ("A2", "generic", 2): "69ea06c5404ca754fb02f3b2908fa6685b5511d3cf348086508e41d2ad6ff3b8",
+    ("A2", "r1", 0): "178bbdcd5b60a5898a64b08633ab8fb70c58ec6609dbb0235dd01b0b973a7b50",
+    ("A2", "r1", 1): "b48dd8f7709fc5a1cef0514cd3595cfe41d5936155d219c9bff27837c95812d3",
+    ("A2", "r1", 2): "dbe2fae099e616bcda21a6f5d5142aa2dfab9ae8ec610f489b292eee3eba96e0",
+    ("A2", "k0", 0): "178bbdcd5b60a5898a64b08633ab8fb70c58ec6609dbb0235dd01b0b973a7b50",
+    ("A2", "k0", 1): "7d219ae976ae2ce82d290dcd2ad5aace41df2716d3ed1aef2af3537d4765e0f5",
+    ("A2", "k0", 2): "1ce635ddabd6a0ed2ef33b4780b954917f628aefa16c069e8b6d8ab4d9a85094",
+    ("A2flip", "generic", 0): "5b7b2285ab6bf7ae2fd0bb39f539652db2171ebebf11bf590c2e51927a9fcc27",
+    ("A2flip", "generic", 1): "d9950a55b8f8974a111c04f33b4c5aed358a6056fec1ee33950b89c1dc41efd4",
+    ("A2flip", "generic", 2): "683d02ff3c4141d553cbcdd6619b644771695e733a6c774e8afbd7690ba16041",
+    ("A2flip", "r1", 0): "5b7b2285ab6bf7ae2fd0bb39f539652db2171ebebf11bf590c2e51927a9fcc27",
+    ("A2flip", "r1", 1): "8b0d271eaef3f5163800c15b677562958ee6f5492e499f44f43843cdd51a7840",
+    ("A2flip", "r1", 2): "196087f1223e0b660a36eab5a11bce2350a76c520755028d7036a853634a1f67",
+    ("A2flip", "k0", 0): "5b7b2285ab6bf7ae2fd0bb39f539652db2171ebebf11bf590c2e51927a9fcc27",
+    ("A2flip", "k0", 1): "e3b10becfb385c17bb95f552afb5890b6e1fc8dbcbdda47d50374f28bf562a33",
+    ("A2flip", "k0", 2): "147c677408133492ae7c020ca665f190b3037a0b146402a3832916aab4c8a869",
+    ("A2flip-tw", "generic", 0): "c84cc435a02251023f865ab2fe430b2249cfadf10717cf88014ce7876a2a75e6",
+    ("A2flip-tw", "generic", 1): "851db5e32e7405b9d8e757d37ace36e32fd7238f87e383ff8d4991a40b2b37cd",
+    ("A2flip-tw", "generic", 2): "17cbc16e14305c9e51d9bacf18891235dfd5f6703d7e87e34d6423f0675aa857",
+    ("A2flip-tw", "r1", 0): "c84cc435a02251023f865ab2fe430b2249cfadf10717cf88014ce7876a2a75e6",
+    ("A2flip-tw", "r1", 1): "69b34a2f0f1fec72abec57e5df47048cfdc5cb89c8357c3bef759095e365b244",
+    ("A2flip-tw", "r1", 2): "57ba47df8adc688804fe394df99695b247cf8c396067fbe652a8d8ee8230f3a5",
+    ("A2flip-tw", "k0", 0): "c84cc435a02251023f865ab2fe430b2249cfadf10717cf88014ce7876a2a75e6",
+    ("A2flip-tw", "k0", 1): "24ff6df62a9fcdfdcd2968e0c423de56eccf02fe78410fe2382c5f0178aa4e0b",
+    ("A2flip-tw", "k0", 2): "841b9a828879a10bda5a48f5daba3c4c97c2ef2fc2919b7401beb355402313de",
+    ("B2", "generic", 0): "9c37b39a3a3c9f05f489230b75d84e3561e06fc693ddf453d3b55d3bc94b05be",
+    ("B2", "generic", 1): "7df10d4e624192dbb7a2d468dd426e2d0291054d56c8a60fa52c25f97399d2f0",
+    ("B2", "generic", 2): "2ae0bc592f8e6316fa93e13ce180fa208cf8f5a06d5098e5a542b65b2609af72",
+    ("B2", "r1", 0): "9c37b39a3a3c9f05f489230b75d84e3561e06fc693ddf453d3b55d3bc94b05be",
+    ("B2", "r1", 1): "6b231b083bfbf6791a90c07f71fef7952a2e4aa0ccec9179e5eed0e8ff47a8c8",
+    ("B2", "r1", 2): "976c4927ea2eae50f70a0e42096081a2f35b804fcc42aa5e0211d83064747fdf",
+    ("B2", "k0", 0): "9c37b39a3a3c9f05f489230b75d84e3561e06fc693ddf453d3b55d3bc94b05be",
+    ("B2", "k0", 1): "de7d52c39725210cbfab440bf6dc46ecebb1a3bc1bbaf04cb17f5641923b2174",
+    ("B2", "k0", 2): "b34b9047805301e54b20fc38129e4baf6a19983a4cdc20e537aa4efc4faeba67",
+    ("G2", "generic", 0): "5c0d7d8d593e0d26629c82da9a7041def5d84dedc9a9a70e82d0c0c6902aefb1",
+    ("G2", "generic", 1): "f080173cb8da52ad2dd293a2350876079ed6f43c406746cc913d6fb54e3de973",
+    ("G2", "generic", 2): "168d6ed85c9677cbf1d1a53255672d1e3dc5c616d73403b841c44b19fd7b9680",
+    ("G2", "r1", 0): "5c0d7d8d593e0d26629c82da9a7041def5d84dedc9a9a70e82d0c0c6902aefb1",
+    ("G2", "r1", 1): "cb8f3b7d9fcc2784fca5066dec0597d74aca9a16ac09116ce1d7ea8b108054be",
+    ("G2", "r1", 2): "43dc3121d211e38ad37e9152c7cd9cb3755b38deb6477c4482b663978c278540",
+    ("G2", "k0", 0): "5c0d7d8d593e0d26629c82da9a7041def5d84dedc9a9a70e82d0c0c6902aefb1",
+    ("G2", "k0", 1): "e854ee9b8166c8fc8df0ea23466d91f1e9f5bc7cc65771f8c747aa8ed12305b7",
+    ("G2", "k0", 2): "cffade00057807a17e0415c76555c31c49261ed7b2327a5413f8518ac820e4b8",
+}
+
+
+@pytest.mark.parametrize("preset, mode, degree_cap", sorted(STRUCTURE_JSON_SHA256))
+def test_structure_tables_are_pinned(preset, mode, degree_cap):
+    text = _structure_json(_structure_algebra(preset, mode), degree_cap)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        STRUCTURE_JSON_SHA256[preset, mode, degree_cap]
+
+
+def _walk_cases():
+    for preset in sorted(PRESETS):
+        for mode in ("generic", "r1", "k0"):
+            yield pytest.param(functools.partial(_structure_algebra, preset, mode),
+                               id=f"{preset}-{mode}")
+    yield pytest.param(lambda: build_preset("B2", k=["1/3", "5/2"]), id="B2-k-1/3-5/2")
+    yield pytest.param(lambda: build_preset("B2", k=["1/3", "5/2"], mode="r1"),
+                       id="B2-k-1/3-5/2-r1")
+    yield pytest.param(lambda: algebra_from_config({"types": [["B", 2]], "k": ["z", "1"],
+                                                    "cyclotomic_order": 3}), id="B2-cyc3")
+
+
+@pytest.mark.parametrize("make", _walk_cases())
+def test_prefix_walk_reaches_the_letter_by_letter_moves(make):
+    """The state the export reaches at v from its prefix's state is the one
+    `_move_poly` reaches along v's whole word, for every monomial of degree
+    at most 2."""
+    from gradedhecke.cli import _prefix_states
+    from gradedhecke.polynomials import Polynomial
+
+    algebra = make()
+    nv = algebra.nvars
+    max_var = nv if algebra.mode != "r1" else nv - 1
+    for expo in itertools.product(range(3), repeat=max_var):
+        if sum(expo) > 2:
+            continue
+        a = expo + (0,) * (nv - max_var)
+        states = _prefix_states(algebra, a)
+        assert len(states) == len(algebra.group)
+        for v, (den, state) in zip(algebra.group.elements, states):
+            want = algebra._move_poly(Polynomial(nv, {a: Fraction(1)}), v)
+            assert (den, {t: q for t, q in state.items() if q}) == want, (a, v)
+
+
+@pytest.mark.parametrize("preset", ["A2flip-tw", "G2", "A1xA1swap"])
+def test_structure_export_moves_one_letter_per_group_element(preset, monkeypatch):
+    """Each x^a N_v is its prefix's state moved through one generator: one
+    `_move_word` call of one letter per monomial and non-identity v, and no
+    `_move_poly` or group product."""
+    from gradedhecke.weylgroups import ExtendedWeylGroup
+
+    algebra = build_preset(preset)
+    letters = []
+    move_word = algebra._move_word
+
+    def counted(den, state, word):
+        letters.append(len(word))
+        return move_word(den, state, word)
+
+    def refused(*args):
+        raise AssertionError("the export moved a polynomial along a whole word")
+
+    monkeypatch.setattr(algebra, "_move_word", counted)
+    monkeypatch.setattr(algebra, "_move_poly", refused)
+    monkeypatch.setattr(ExtendedWeylGroup, "multiply", refused)
+    text = _structure_json(algebra, 2)
+    monomials = len(json.loads(text)["basis"]) // len(algebra.group)
+    assert letters == [1] * (monomials * (len(algebra.group) - 1))
+
+
+def test_structure_table_past_the_entry_cap_is_refused_before_any_work(monkeypatch, capsys):
+    from gradedhecke.cli import STRUCTURE_ENTRY_CAP
+    from gradedhecke.hecke import HeckeAlgebra
+
+    assert STRUCTURE_ENTRY_CAP == 200_000
+
+    def refused(*args):
+        raise AssertionError("the export straightened before checking its size")
+
+    monkeypatch.setattr(HeckeAlgebra, "_move_word", refused)
+    monkeypatch.setattr(HeckeAlgebra, "_step", refused)
+    # G2 generic at cap 5: 12 elements times 56 monomials in x1, x2, r, squared
+    with pytest.raises(ValueError, match="451584 entries, over the cap of 200000"):
+        _structure_json(build_preset("G2"), 5)
+    start = time.perf_counter()
+    assert run_cli("export", "--preset", "G2", "structure", "--degree-cap", "30") == 2
+    assert time.perf_counter() - start < 1
+    err = _one_line_error(capsys)
+    assert "over the cap of 200000" in err and "degree cap 30" in err
+    assert capsys.readouterr().out == ""
+
+
 # sha256 of `export --preset P --mode M ext` and the `ext --preset P --mode M` line, as
 # the elimination on the whole Koszul block complex gave them
 EXT_EXPORT_SHA256 = {
@@ -670,6 +845,37 @@ def test_power_by_squaring_matches_repeated_products(preset, base, m, capsys):
     squared = capsys.readouterr().out
     assert run_cli("eval", "--preset", preset, "*".join([base] * m) if m else "1") == 0
     assert squared == capsys.readouterr().out
+
+
+def _square_and_multiply(base, m):
+    out = base.algebra.one()
+    while m:
+        if m & 1:
+            out = out * base
+        m >>= 1
+        if m:
+            base = base * base
+    return out
+
+
+@pytest.mark.parametrize("preset, base, exponents", [
+    ("A1", "x + N[s]", (0, 1, 2, 7)),
+    ("A1", "x", (0, 1, 13)),
+    ("B2", "x1 + x2 + N[s1] + N[s2] + r", (3, 6)),
+    ("B2", "x1*N[s1]", (5,)),
+    ("G2", "x1 + N[s1] + N[s2]", (1, 5, 8)),
+    ("G2", "N[s1*s2]", (6, 7)),
+    ("A2flip-tw", "x1*N[s1] + N[g1] + x2", (2, 5)),
+    ("A1xA1swap", "N[g1]*x1 - 1/2*N[s2]", (4,)),
+])
+def test_power_matches_square_and_multiply(preset, base, exponents):
+    from gradedhecke.expressions import _power, parse_element
+
+    algebra = build_preset(preset)
+    element = parse_element(algebra, base)
+    for m in exponents:
+        assert _power(element, m).to_string() == \
+            _square_and_multiply(element, m).to_string(), m
 
 
 def test_fuzzed_ext_weights_exit_0_or_2_without_traceback(capsys):

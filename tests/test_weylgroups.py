@@ -590,3 +590,24 @@ def test_act_point_is_contragredient_to_act_root(name):
                 image = group.act_root(group.inverse(u), beta)
                 assert sum(b * c for b, c in zip(beta, moved)) == \
                     sum(b * c for b, c in zip(image, point))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_prefix_table_extends_each_word_by_one_letter(preset):
+    """Each element's letters (its word, then rank + gamma for a Gamma part)
+    are its prefix's letters and one more, the prefix comes first in the
+    group's order, and `left_row(u)[t]` is the index of u t."""
+    g = build_preset(preset).group
+    rank = g.rs.rank
+
+    def letters(w):
+        return w.word + ((rank + w.gamma,) if w.gamma else ())
+
+    assert g._prefix[0] is None and g.elements[0].is_identity()
+    for t in g.elements[1:]:
+        parent, j = g._prefix[t.index]
+        assert parent < t.index
+        assert letters(t) == letters(g.elements[parent]) + (j,)
+        assert g._times[parent][j] == t.index
+    for u in g.elements:
+        assert g.left_row(u) == [g.multiply(u, t).index for t in g.elements]

@@ -21,10 +21,11 @@ through a word of generators with these steps, one letter at a time:
 export once per group element, from the state of its prefix.  A product
 runs on numerators over one common denominator, in the same loops on
 rational and on cyclotomic data: ints, or `Cyc`s whose integer numerator
-tuples sit over denominator 1, so their sums and products take no gcd.  It forms one `Fraction` (or one `Cyc`) per
-output coefficient at the end.  The memo depends on k and the mode, so it
-lives on the instance and is never shared: `with_k` and `crossed_product`
-build new instances, which start with an empty memo.
+tuples sit over denominator 1, so their sums and products take no gcd.
+It forms one `Fraction` (or one `Cyc`) per output coefficient at the end.
+The memo depends on k and the mode, so it lives on the instance and is
+never shared: `with_k` and `crossed_product` build new instances, which
+start with an empty memo.
 
 Modes:
   * "generic" - r is a polynomial variable, the algebra is graded;

@@ -865,6 +865,8 @@ def _square_and_multiply(base, m):
     ("B2", "x1*N[s1]", (5,)),
     ("G2", "x1 + N[s1] + N[s2]", (1, 5, 8)),
     ("G2", "N[s1*s2]", (6, 7)),
+    ("G2", "N[s1*s2]*x1", (3, 16)),
+    ("G2", "3/2", (0, 5, 64)),
     ("A2flip-tw", "x1*N[s1] + N[g1] + x2", (2, 5)),
     ("A1xA1swap", "N[g1]*x1 - 1/2*N[s2]", (4,)),
 ])

@@ -34,7 +34,9 @@ from .verification import ALL_SUITES, run_verification
 
 __all__ = ["main"]
 
-# the most products a structure export writes: (|W x| Gamma| * monomials)^2
+# the most products a structure export writes: (|W x| Gamma| * monomials)^2.
+# The text takes about 1 kB of memory per entry (G2 at degree cap 4: 176400
+# entries, 197 MB peak), so the cap keeps an export near 200 MB.
 STRUCTURE_ENTRY_CAP = 200_000
 
 
@@ -261,10 +263,10 @@ def _structure_json(algebra: HeckeAlgebra, degree_cap: int) -> str:
 
         (N_u x^a)(N_v x^b) = sum_t c(u, v) N_{u t} q_t x^b.
 
-    The moves come from `_prefix_states`, one exchange letter per (a, v),
-    and the u t from `left_row(u)`, one row per u.  Nothing needs merging:
-    the twist c(u, v) depends only on the Gamma parts, so one value serves
-    every t, and distinct t give distinct u t.  A shift by b keeps exponents
+    The moves come from `HeckeAlgebra._prefix_moves`, one exchange letter
+    per (a, v), and the u t from `left_row(u)`, one row per u.  Nothing
+    needs merging: the twist c(u, v) depends only on the Gamma parts, so
+    one value serves every t, and distinct t give distinct u t.  A shift by b keeps exponents
     in lexicographic order, so the terms of each q_t are sorted and their
     coefficients encoded once per (a, v, twist), each shifted exponent once
     per distinct exponent, and the text of each term after its label once
@@ -294,7 +296,7 @@ def _structure_json(algebra: HeckeAlgebra, degree_cap: int) -> str:
     # (a, v.index) -> [(t.index, sorted terms of q_t)], along the prefix tree
     moves = {}
     for a in monomials:
-        for vi, (den, moved) in enumerate(_prefix_states(algebra, a)):
+        for vi, (den, moved) in enumerate(algebra._prefix_moves(a)):
             moves[a, vi] = [(ti, sorted((e, divide_scalar(n, den)) for e, n in q.items()))
                             for ti, q in moved.items() if q]
     # exponent e -> per b the text ",e+b," of a term's shifted exponent
@@ -325,16 +327,6 @@ def _structure_json(algebra: HeckeAlgebra, degree_cap: int) -> str:
                                                          v.index * m))
     basis_text = ",".join(f"[{label},{_json_ints(e)}]" for label in labels for e in monomials)
     return f'{{"basis":[{basis_text}],"products":[{",".join(entries)}]}}'
-
-
-def _prefix_states(algebra: HeckeAlgebra, a: tuple) -> list[tuple[int, dict]]:
-    """x^a N_v for every v, in the group's order, as the (den, state) of
-    `_move_word`: each v's state is its prefix's state moved through one
-    generator, the state `_move_poly(x^a, v)` reaches letter by letter."""
-    states = [(1, {algebra.group.identity.index: {a: 1}})]
-    for parent, j in algebra.group._prefix[1:]:
-        states.append(algebra._move_word(*states[parent], (j,)))
-    return states
 
 
 def _term_tails(terms, twist, monomials, shifted) -> list[list[str]]:

@@ -11,10 +11,9 @@ The element expression grammar used by the command line.
 
 Variables are x1..xd and r; for rank one, `x` and `s` are accepted as
 aliases for x1 and s1.  FUNC is IM or sgn.  Parse errors carry the
-character position.  A power is formed by repeated left multiplication,
-or by square-and-multiply when its powers stay one term (see `_power`), and
-`a ^ m` is an error when m times the degree of a in x1..xd and r (a constant
-counting as degree 1) passes `POWER_DEGREE_CAP`.
+character position.  A power is formed by repeated left multiplication
+(see `_power`), and `a ^ m` is an error when m times the degree of a in
+x1..xd and r (a constant counting as degree 1) passes `POWER_DEGREE_CAP`.
 """
 
 from __future__ import annotations
@@ -202,21 +201,9 @@ def _power(base: HeckeElement, m: int) -> HeckeElement:
 
     Straightening moves each polynomial of the left factor through each N_v
     of the right one, so the small base goes on the left; squaring would
-    make both factors large (Fateman, Stud. Appl. Math. 1974).  The powers
-    of c x^a and of c N_w stay one term, so those bases are squared: m cheap
-    products cost more than log m.
+    make both factors large (Fateman, Stud. Appl. Math. 1974).
     """
     out = base.algebra.one()
-    (wi, p), = base.terms.items() if len(base.terms) == 1 else [(None, None)]
-    if p is not None and len(p.terms) == 1 and (wi == base.algebra.group.identity.index
-                                                 or p.degree() == 0):
-        while m:
-            if m & 1:
-                out = out * base
-            m >>= 1
-            if m:
-                base = base * base
-        return out
     for _ in range(m):
         out = base * out
     return out

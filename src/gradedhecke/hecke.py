@@ -17,8 +17,9 @@ instance keeps a private dict from (exponent tuple, generator index) to the
 moved monomial and its correction as numerators over one denominator,
 filled lazily on first use.  `_move_word` moves a state sum_u N_u q_u
 through a word of generators with these steps, one letter at a time:
-`_move_poly` calls it once along the whole word of v, and the structure
-export once per group element, from the state of its prefix.  A product
+`_move_poly` calls it once along the whole word of v, and `_prefix_moves`
+(for the structure export) once per group element, from the state of its
+prefix.  A product
 runs on numerators over one common denominator, in the same loops on
 rational and on cyclotomic data: ints, or `Cyc`s whose integer numerator
 tuples sit over denominator 1, so their sums and products take no gcd.
@@ -194,15 +195,15 @@ class HeckeAlgebra:
         den, terms = _numerators(p.terms)
         if v.is_identity():
             return den, ({v.index: terms} if terms else {})
-        letters = v.word + ((self.rs.rank + v.gamma,) if v.gamma else ())
-        den, state = self._move_word(den, {self.group.identity.index: terms}, letters)
+        den, state = self._move_word(den, {self.group.identity.index: terms},
+                                     self.group.letters(v))
         return den, {ui: t for ui, t in state.items() if t}
 
     def _move_word(self, den: int, state: dict[int, dict], letters) -> tuple[int, dict[int, dict]]:
         """Move sum_u N_u q_u (numerators over den) right through the
-        generators `letters`, in the column convention of the group's table
-        (j < rank for s_j, rank + gamma for a Gamma element); returns (den,
-        state) with possibly empty numerator dicts.  `state` is not modified.
+        generators `letters`, columns of the group's product table as in
+        `ExtendedWeylGroup.letters`; returns (den, state) with possibly
+        empty numerator dicts.  `state` is not modified.
 
         The exchange step is linear, so each letter moves the state one
         monomial at a time, looked up in the memo and computed by `_step`
@@ -228,6 +229,17 @@ class HeckeAlgebra:
             state = new
             den *= scale
         return den, state
+
+    def _prefix_moves(self, a: tuple) -> list[tuple[int, dict[int, dict]]]:
+        """x^a N_v for every v, in the group's order, as the (den, state) of
+        `_move_word`: each v's state is its prefix's state moved through one
+        generator, the state `_move_poly(x^a, v)` reaches letter by letter."""
+        group = self.group
+        states = [(1, {group.identity.index: {a: 1}})]
+        for v in group.elements[1:]:
+            parent, j = group.prefix(v)
+            states.append(self._move_word(*states[parent.index], (j,)))
+        return states
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement") -> "HeckeElement":
         """a * b on numerators over one running lcm denominator, divided out

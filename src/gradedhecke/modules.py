@@ -99,6 +99,10 @@ class FiniteDimModule:
         if algebra.mode == "r1" and self.r_value != 1:
             raise ValueError("the r1 specialization fixes r = 1; rescale k instead")
         self._actions: dict[int, object] = {}
+        # the generator matrices by their column of the group's product table
+        group = algebra.group
+        self._by_letter = {group.letters(g)[0]: self.generator_matrices[key]
+                           for key, g in zip(names, group.generators)}
         if validate:
             problems = self.validate()
             if problems:
@@ -128,7 +132,7 @@ class FiniteDimModule:
         """The Matrix of N_w, built once as its prefix's matrix times one generator.
 
         The group's prefix table gives w = p * generator j (see
-        `ExtendedWeylGroup`), so this is the product of the generator
+        `ExtendedWeylGroup.prefix`), so this is the product of the generator
         matrices along w.word, then the Gamma generator.
         """
         m = self._actions.get(w.index)
@@ -137,10 +141,9 @@ class FiniteDimModule:
             if w.is_identity():
                 m = identity(self.dim)
             else:
-                parent, j = group._prefix[w.index]
-                rank = self.algebra.rs.rank
-                gen = self.generator_matrices[("s", j) if j < rank else ("g", j - rank)]
-                m = gen if parent == 0 else mat_mul(self.action(group.elements[parent]), gen)
+                parent, j = group.prefix(w)
+                gen = self._by_letter[j]
+                m = gen if parent.is_identity() else mat_mul(self.action(parent), gen)
             self._actions[w.index] = m
         return m
 

@@ -16,7 +16,8 @@ coordinates of u(alpha_j), and the central block is the identity.  The key
 serves the actions on points and polynomials and `from_key`.
 
 The cached words are prefix-closed, so enumeration also keeps each
-element's prefix and last generator (`_prefix`): walking that tree in the
+element's prefix and last generator (`prefix`), the generator given by its
+column of the product table as in `letters`: walking that tree in the
 group's order builds a row of left products (`left_row`), the module
 matrices of N_w and the structure export one generator at a time.
 """
@@ -205,6 +206,18 @@ class ExtendedWeylGroup:
 
     def multiply(self, u: GroupElement, v: GroupElement) -> GroupElement:
         return self._walk(v.word, v.gamma, u.index)
+
+    def letters(self, w: GroupElement) -> tuple[int, ...]:
+        """w's cached word as columns of the product table: s_j is column j,
+        the Gamma element gamma_gi column rank + gi."""
+        return w.word + ((self.rs.rank + w.gamma,) if w.gamma else ())
+
+    def prefix(self, w: GroupElement) -> tuple[GroupElement, int]:
+        """(p, j) with w = p * the generator of column j (as in `letters`):
+        p is w's cached word less its last letter, and comes before w in the
+        group's order.  w is not the identity."""
+        parent, j = self._prefix[w.index]
+        return self.elements[parent], j
 
     def left_row(self, u: GroupElement) -> list[int]:
         """The indices of u t for every t, in the group's order.

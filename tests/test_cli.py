@@ -482,7 +482,6 @@ def test_prefix_walk_reaches_the_letter_by_letter_moves(make):
     """The state the export reaches at v from its prefix's state is the one
     `_move_poly` reaches along v's whole word, for every monomial of degree
     at most 2."""
-    from gradedhecke.cli import _prefix_states
     from gradedhecke.polynomials import Polynomial
 
     algebra = make()
@@ -492,7 +491,7 @@ def test_prefix_walk_reaches_the_letter_by_letter_moves(make):
         if sum(expo) > 2:
             continue
         a = expo + (0,) * (nv - max_var)
-        states = _prefix_states(algebra, a)
+        states = algebra._prefix_moves(a)
         assert len(states) == len(algebra.group)
         for v, (den, state) in zip(algebra.group.elements, states):
             want = algebra._move_poly(Polynomial(nv, {a: Fraction(1)}), v)

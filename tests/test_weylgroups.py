@@ -599,15 +599,13 @@ def test_prefix_table_extends_each_word_by_one_letter(preset):
     group's order, and `left_row(u)[t]` is the index of u t."""
     g = build_preset(preset).group
     rank = g.rs.rank
-
-    def letters(w):
-        return w.word + ((rank + w.gamma,) if w.gamma else ())
-
+    for t in g.elements:
+        assert g.letters(t) == t.word + ((rank + t.gamma,) if t.gamma else ())
     assert g._prefix[0] is None and g.elements[0].is_identity()
     for t in g.elements[1:]:
-        parent, j = g._prefix[t.index]
-        assert parent < t.index
-        assert letters(t) == letters(g.elements[parent]) + (j,)
-        assert g._times[parent][j] == t.index
+        parent, j = g.prefix(t)
+        assert parent.index < t.index
+        assert g.letters(t) == g.letters(parent) + (j,)
+        assert g._times[parent.index][j] == t.index
     for u in g.elements:
         assert g.left_row(u) == [g.multiply(u, t).index for t in g.elements]
